@@ -1,9 +1,10 @@
 package storagesched
 
 // One benchmark per figure and claim of the paper (regenerating the
-// corresponding experiment end to end; see DESIGN.md §4 and
-// EXPERIMENTS.md), plus microbenchmarks of every algorithm at the
-// sizes the experiments use. Run with:
+// corresponding experiment end to end; the index is the experiment
+// registry in internal/exp, listed by `experiments -list`), plus
+// microbenchmarks of every algorithm at the sizes the experiments use.
+// Run with:
 //
 //	go test -bench=. -benchmem
 //	go test -bench=BenchmarkFIG3 -benchmem   # one figure only

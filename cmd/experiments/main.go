@@ -1,6 +1,6 @@
 // Command experiments regenerates every figure and quantitative claim
-// of the paper (see DESIGN.md §4 for the index). With no flags it runs
-// everything; -run selects experiments, -list shows the index.
+// of the paper (the index is the internal/exp registry). With no flags
+// it runs everything; -run selects experiments, -list shows the index.
 //
 //	experiments -list
 //	experiments -run FIG1,FIG3

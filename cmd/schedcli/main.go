@@ -41,14 +41,13 @@
 //
 // Repeated sweeps reuse fronts through a content-addressed cache
 // (-cache-dir for a disk tier shared across runs and machines,
-// -cache-mem for the in-process LRU bound), and large batches split
-// into K deterministic in-process shards merged back in input order
-// (-shards, -shard-policy) — the output is byte-identical either way:
+// -cache-mem for the in-process LRU bound) — the output is
+// byte-identical either way:
 //
-//	schedcli sweepbatch -in instances/ -cache-dir ~/.sweepcache -shards 4
+//	schedcli sweepbatch -in instances/ -cache-dir ~/.sweepcache
 //
-// The shard subcommand runs the same split across processes or
-// machines: `shard plan` writes plan.json plus one shard-<k>.list per
+// The shard subcommand splits a large batch into K deterministic
+// shards across processes or machines: `shard plan` writes plan.json plus one shard-<k>.list per
 // shard (each a valid sweepbatch -in input), `shard merge` interleaves
 // the per-shard JSONL outputs back into input order, and `shard exec`
 // drives the whole flow with one sweepbatch subprocess per shard:
@@ -203,15 +202,13 @@ func runSweepBatch(args []string, stdin io.Reader, w io.Writer) error {
 	dmax := fs.Float64("dmax", 8, "largest delta of the grid")
 	points := fs.Int("points", 32, "number of grid points")
 	gridKind := fs.String("grid", "geo", "grid spacing: geo | lin")
-	workers := fs.Int("workers", 0, "shared pool size (0 = one per CPU; with -shards, per shard)")
+	workers := fs.Int("workers", 0, "shared pool size (0 = one per CPU)")
 	pending := fs.Int("pending", 0, "max instances in flight (0 = twice the workers)")
 	noSBO := fs.Bool("no-sbo", false, "skip the SBO family")
 	noRLS := fs.Bool("no-rls", false, "skip the RLS family")
 	cacheDir := fs.String("cache-dir", "", "content-addressed front cache directory (disk tier)")
 	cacheMem := fs.Int("cache-mem", 0, "front cache memory-tier entries (0 = default when caching; < 0 = disk-only)")
-	shards := fs.Int("shards", 1, "run the batch as K in-process shards merged in input order (does not compose with -refine)")
-	shardPolicy := fs.String("shard-policy", "hash", "shard placement with -shards: rr | hash (hash keeps identical items on one shard)")
-	doRefine := fs.Bool("refine", false, "adaptive two-pass sweep: re-sweep δ-intervals where each front's relative gap exceeds -refine-gap (does not compose with -shards)")
+	doRefine := fs.Bool("refine", false, "adaptive two-pass sweep: re-sweep δ-intervals where each front's relative gap exceeds -refine-gap")
 	refineGap := fs.Float64("refine-gap", sched.DefaultRefineGap, "relative front gap above which the δ-interval is refined")
 	refineMax := fs.Int("refine-max-points", sched.DefaultRefineMaxPoints, "refinement δ points budgeted per item")
 	stats := fs.Bool("stats", false, "print the batch's metrics registry (Prometheus text format) to stderr when done — the same families a schedd /metrics scrape exposes")
@@ -225,10 +222,6 @@ func runSweepBatch(args []string, stdin io.Reader, w io.Writer) error {
 		Refine:          *doRefine,
 		RefineGap:       *refineGap,
 		RefineMaxPoints: *refineMax,
-		Shards:          *shards,
-	}
-	if err := spec.Validate(); err != nil {
-		return err
 	}
 	grid, err := buildGrid(*gridKind, *dmin, *dmax, *points)
 	if err != nil {
@@ -257,15 +250,10 @@ func runSweepBatch(args []string, stdin io.Reader, w io.Writer) error {
 	}
 	bw := bufio.NewWriter(out)
 
-	if *shards > 1 {
-		if spec.ShardPolicy, err = sched.ParseShardPolicy(*shardPolicy); err != nil {
-			return err
-		}
-	}
 	// The session layer (shared with the schedd daemon) runs the whole
-	// pipeline — tagging, the sweep itself (sharded, adaptive or plain)
-	// and the JSONL encoding — so the CLI and HTTP outputs are
-	// byte-identical on identical inputs.
+	// pipeline — tagging, the sweep itself (adaptive or plain) and the
+	// JSONL encoding — so the CLI and HTTP outputs are byte-identical on
+	// identical inputs.
 	scfg := serve.SessionConfig{Workers: *workers, Cache: fcache}
 	if *stats {
 		scfg.Metrics = metrics.NewRegistry()

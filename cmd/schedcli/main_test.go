@@ -266,7 +266,6 @@ func TestRunSweepBatchRejectsBadInputs(t *testing.T) {
 		{"-in", dir, "-no-sbo", "-no-rls"},
 		{"-in", filepath.Join(t.TempDir(), "missing")},
 		{"-in", t.TempDir()}, // no *.json files
-		{"-in", dir, "-refine", "-shards", "2"},
 		{"-in", dir, "-refine", "-refine-gap", "-0.5"},
 		{"-in", dir, "-refine", "-refine-max-points", "-2"},
 	}

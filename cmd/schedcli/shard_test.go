@@ -43,35 +43,6 @@ func sweepDir(t *testing.T, dir string, extra ...string) (string, error) {
 	return buf.String(), err
 }
 
-// The CLI acceptance criterion: -shards K output is byte-identical to
-// the unsharded run for K ∈ {1, 2, 4}, under both policies, including
-// per-item error lines.
-func TestRunSweepBatchShardedMatchesUnsharded(t *testing.T) {
-	dir := mixedDir(t, true)
-	want, wantErr := sweepDir(t, dir)
-	if wantErr == nil {
-		t.Fatal("unsharded run with a broken file reported success")
-	}
-	for _, policy := range []string{"rr", "hash"} {
-		for _, k := range []string{"1", "2", "4"} {
-			got, gotErr := sweepDir(t, dir, "-shards", k, "-shard-policy", policy)
-			if got != want {
-				t.Errorf("policy=%s shards=%s: output differs from unsharded\ngot:\n%s\nwant:\n%s", policy, k, got, want)
-			}
-			if gotErr == nil || gotErr.Error() != wantErr.Error() {
-				t.Errorf("policy=%s shards=%s: err %v, want %v", policy, k, gotErr, wantErr)
-			}
-		}
-	}
-}
-
-func TestRunSweepBatchShardedRejectsBadPolicy(t *testing.T) {
-	dir := writeInstanceDir(t, 1)
-	if _, err := sweepDir(t, dir, "-shards", "2", "-shard-policy", "bogus"); err == nil {
-		t.Error("bogus shard policy accepted")
-	}
-}
-
 // Cold and warm cache runs are byte-identical, entries land on disk,
 // and a corrupt entry heals transparently.
 func TestRunSweepBatchCacheColdWarmByteIdentical(t *testing.T) {

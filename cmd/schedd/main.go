@@ -9,8 +9,8 @@
 // Endpoints (see docs/API.md for the wire reference):
 //
 //	POST /v1/sweep       sweep the body's instances/DAGs, stream JSONL fronts
-//	GET  /v1/cache/stats front-cache counters as JSON
-//	GET  /metrics        Prometheus text exposition of the daemon's counters
+//	GET  /metrics        Prometheus text exposition of the daemon's counters,
+//	                     front-cache statistics included (sched_cache_*)
 //	GET  /healthz        liveness probe
 //	GET  /readyz         readiness probe (503 once draining)
 //	GET  /debug/pprof/   runtime profiles (only with -pprof)

@@ -283,9 +283,34 @@ type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// TestScheddLifecycle: health and readiness probes respond, cache
-// stats reflect a warm sweep, and cancellation drains the daemon to a
-// clean exit.
+// scrapeSamples reads the daemon's /metrics exposition into a map from
+// sample name to value.
+func scrapeSamples(t *testing.T, base string) map[string]string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics = %d: %s", resp.StatusCode, body)
+	}
+	samples := make(map[string]string)
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			samples[name] = value
+		}
+	}
+	return samples
+}
+
+// TestScheddLifecycle: health and readiness probes respond, the cache
+// is on and serves a warm sweep, and cancellation drains the daemon to
+// a clean exit.
 func TestScheddLifecycle(t *testing.T) {
 	base, shutdown := startDaemon(t, "-cache-mem", "64")
 
@@ -308,8 +333,8 @@ func TestScheddLifecycle(t *testing.T) {
 	if code, _ := get("/readyz"); code != http.StatusOK {
 		t.Errorf("/readyz = %d, want 200", code)
 	}
-	if code, body := get("/v1/cache/stats"); code != http.StatusOK || !strings.Contains(body, `"enabled":true`) {
-		t.Errorf("/v1/cache/stats = %d %q, want 200 with enabled:true", code, body)
+	if _, ok := scrapeSamples(t, base)["sched_cache_hits_total"]; !ok {
+		t.Error("/metrics has no sched_cache_hits_total: the cache is not enabled")
 	}
 
 	// Sweep twice; the second run is served entirely from the warm
@@ -340,7 +365,7 @@ func TestScheddLifecycle(t *testing.T) {
 // TestScheddCacheGC: the daemon's background lifecycle sweep collects
 // a crashed writer's stale tmp, evicts a planted garbage entry past
 // the age cap, and surfaces all of it in the sched_cache_gc_* metric
-// families and the /v1/cache/stats snapshot.
+// families.
 func TestScheddCacheGC(t *testing.T) {
 	cacheDir := t.TempDir()
 	long := time.Now().Add(-2 * time.Hour)
@@ -366,36 +391,29 @@ func TestScheddCacheGC(t *testing.T) {
 		"-cache-max-age", "1h",
 		"-cache-gc-interval", "1h") // the startup sweep is the one under test
 
-	// The startup sweep runs asynchronously; poll the stats endpoint.
+	// The startup sweep runs asynchronously; poll /metrics until it has
+	// counted a run.
 	deadline := time.Now().Add(10 * time.Second)
-	var js struct {
-		GCRuns       int64 `json:"gc_runs"`
-		GCEvictions  int64 `json:"gc_evictions"`
-		GCTmpRemoved int64 `json:"gc_tmp_removed"`
+	ran := func(samples map[string]string) bool {
+		runs := samples["sched_cache_gc_runs_total"]
+		return runs != "" && runs != "0"
 	}
+	var samples map[string]string
 	for {
-		resp, err := http.Get(base + "/v1/cache/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&js)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if js.GCRuns > 0 || time.Now().After(deadline) {
+		samples = scrapeSamples(t, base)
+		if ran(samples) || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if js.GCRuns == 0 {
+	if !ran(samples) {
 		t.Fatal("startup gc sweep never ran")
 	}
-	if js.GCTmpRemoved != 1 {
-		t.Errorf("gc_tmp_removed = %d, want 1", js.GCTmpRemoved)
+	if got := samples["sched_cache_gc_tmp_removed_total"]; got != "1" {
+		t.Errorf("sched_cache_gc_tmp_removed_total = %q, want 1", got)
 	}
-	if js.GCEvictions != 1 {
-		t.Errorf("gc_evictions = %d, want 1 (the aged entry)", js.GCEvictions)
+	if got := samples["sched_cache_gc_evicted_entries_total"]; got != "1" {
+		t.Errorf("sched_cache_gc_evicted_entries_total = %q, want 1 (the aged entry)", got)
 	}
 	if _, err := os.Stat(stale); err == nil {
 		t.Error("stale tmp survived the startup sweep")
@@ -404,22 +422,6 @@ func TestScheddCacheGC(t *testing.T) {
 		t.Error("aged entry survived -cache-max-age")
 	}
 
-	// The families are on /metrics too.
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{
-		"sched_cache_gc_runs_total",
-		"sched_cache_gc_tmp_removed_total 1",
-		"sched_cache_gc_evicted_entries_total 1",
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
 	if err := shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}

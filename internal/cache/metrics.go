@@ -3,9 +3,9 @@ package cache
 // Metrics export. The cache has kept its own atomic counters since it
 // landed; RegisterMetrics exposes them through a metrics.Registry as
 // callback collectors, so the scrape path reads the very same atomics
-// Stats snapshots — one source of truth, no double accounting, and
-// GET /v1/cache/stats and the sched_cache_* scrape families can never
-// drift apart (a parity test in internal/serve pins this).
+// Stats snapshots — one source of truth, no double accounting. The
+// sched_cache_* families on schedd's GET /metrics are the daemon's only
+// cache-statistics surface.
 
 import "storagesched/internal/metrics"
 

@@ -1,9 +1,10 @@
 // Package exp defines the reproduction experiments: one named,
 // self-checking experiment per figure and per quantitative claim of
-// the paper (see DESIGN.md §4 for the index). Every experiment writes
-// a human-readable report — the same rows/series the paper presents —
-// and returns a non-nil error if a paper-claimed bound is violated, so
-// the whole reproduction is enforceable by tests and CI.
+// the paper (the registry below is the index; `experiments -list`
+// prints it). Every experiment writes a human-readable report — the
+// same rows/series the paper presents — and returns a non-nil error if
+// a paper-claimed bound is violated, so the whole reproduction is
+// enforceable by tests and CI.
 package exp
 
 import (
@@ -17,7 +18,7 @@ import (
 // Experiment is one reproducible unit: a figure, lemma, corollary or
 // ablation.
 type Experiment struct {
-	// ID is the DESIGN.md identifier (FIG1, PROP12, ...).
+	// ID is the registry identifier (FIG1, PROP12, ...).
 	ID string
 	// Title is a one-line description.
 	Title string

@@ -50,7 +50,7 @@ func newSessionMetrics(reg *metrics.Registry) *sessionMetrics {
 		sweepsCompleted: reg.Counter("sched_sweeps_completed_total",
 			"sweeps that ran to the end of their stream"),
 		sweepsFailed: reg.Counter("sched_sweeps_failed_total",
-			"sweeps aborted by a fatal error (cancellation, invalid spec, write failure)"),
+			"sweeps aborted by a fatal error (cancellation, write failure)"),
 		items: reg.Counter("sched_sweep_items_total",
 			"front lines emitted across all sweeps"),
 		itemFailures: reg.Counter("sched_sweep_item_failures_total",
@@ -62,7 +62,7 @@ func newSessionMetrics(reg *metrics.Registry) *sessionMetrics {
 	}
 }
 
-// sweepStarted counts one Sweep call passing spec validation.
+// sweepStarted counts one Sweep call.
 func (m *sessionMetrics) sweepStarted() {
 	if m != nil {
 		m.sweepsStarted.Inc()

@@ -1,10 +1,9 @@
 package serve
 
-// Tests for the observability surface: the /metrics exposition, its
-// parity with /v1/cache/stats, request-ID propagation into the sweep
-// trailers, access logging, and the hard contract that instrumentation
-// never perturbs the streamed JSONL bytes — even under concurrent
-// scrapes while sweeps run.
+// Tests for the observability surface: the /metrics exposition,
+// request-ID propagation into the sweep trailers, access logging, and
+// the hard contract that instrumentation never perturbs the streamed
+// JSONL bytes — even under concurrent scrapes while sweeps run.
 
 import (
 	"bytes"
@@ -88,74 +87,6 @@ func postSweep(t *testing.T, base string) []byte {
 		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
 	}
 	return body
-}
-
-// TestMetricsCacheStatsParity: the sched_cache_* scrape families and
-// the GET /v1/cache/stats JSON snapshot read the same atomics, so
-// after identical traffic they must agree field for field.
-func TestMetricsCacheStatsParity(t *testing.T) {
-	fcache, err := cache.New(cache.Config{MemEntries: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, srv := newTestServer(t, SessionConfig{Cache: fcache, Metrics: metrics.NewRegistry()}, ServerConfig{})
-
-	postSweep(t, srv.URL) // cold: fills the cache
-	postSweep(t, srv.URL) // warm: hits it
-
-	resp, err := http.Get(srv.URL + "/v1/cache/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var js struct {
-		Enabled         bool  `json:"enabled"`
-		Entries         int64 `json:"entries"`
-		MemBytes        int64 `json:"mem_bytes"`
-		Hits            int64 `json:"hits"`
-		MemHits         int64 `json:"mem_hits"`
-		DiskHits        int64 `json:"disk_hits"`
-		Misses          int64 `json:"misses"`
-		Puts            int64 `json:"puts"`
-		Evictions       int64 `json:"evictions"`
-		WriteErrors     int64 `json:"write_errors"`
-		GCRuns          int64 `json:"gc_runs"`
-		GCEvictions     int64 `json:"gc_evictions"`
-		GCEvictedBytes  int64 `json:"gc_evicted_bytes"`
-		GCTmpRemoved    int64 `json:"gc_tmp_removed"`
-		GCVerifyRemoved int64 `json:"gc_verify_removed"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
-		t.Fatal(err)
-	}
-	if !js.Enabled {
-		t.Fatal("cache/stats enabled = false, want true")
-	}
-	if js.Hits == 0 || js.Puts == 0 {
-		t.Fatalf("warm cache saw no traffic: %+v", js)
-	}
-
-	samples, _ := scrapeMetrics(t, srv.URL)
-	for key, want := range map[string]int64{
-		"sched_cache_entries":                  js.Entries,
-		"sched_cache_mem_bytes":                js.MemBytes,
-		"sched_cache_hits_total":               js.Hits,
-		"sched_cache_mem_hits_total":           js.MemHits,
-		"sched_cache_disk_hits_total":          js.DiskHits,
-		"sched_cache_misses_total":             js.Misses,
-		"sched_cache_puts_total":               js.Puts,
-		"sched_cache_evictions_total":          js.Evictions,
-		"sched_cache_write_errors_total":       js.WriteErrors,
-		"sched_cache_gc_runs_total":            js.GCRuns,
-		"sched_cache_gc_evicted_entries_total": js.GCEvictions,
-		"sched_cache_gc_evicted_bytes_total":   js.GCEvictedBytes,
-		"sched_cache_gc_tmp_removed_total":     js.GCTmpRemoved,
-		"sched_cache_gc_verify_removed_total":  js.GCVerifyRemoved,
-	} {
-		if got := sampleInt(t, samples, key); got != want {
-			t.Errorf("%s = %d, /v1/cache/stats says %d", key, got, want)
-		}
-	}
 }
 
 // TestSweepTrailerRequestID: the streamed sweep response carries its

@@ -3,17 +3,16 @@ package serve
 // The schedd HTTP layer. A Server wraps one Session — one resident
 // pool, one warm cache — with the JSON/JSONL API documented in
 // docs/API.md: POST /v1/sweep streams front lines as they complete,
-// GET /v1/cache/stats snapshots the cache counters, and the health
-// probes plus BeginDrain give the daemon a graceful exit. Admission is
-// a bounded queue with a per-client fairness cap; a request the queue
-// cannot hold is refused with 429 and a Retry-After hint rather than
-// queued without bound.
+// GET /metrics exposes the session, engine and cache counters, and the
+// health probes plus BeginDrain give the daemon a graceful exit.
+// Admission is a bounded queue with a per-client fairness cap; a
+// request the queue cannot hold is refused with 429 and a Retry-After
+// hint rather than queued without bound.
 
 import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -28,7 +27,6 @@ import (
 
 	"storagesched/internal/metrics"
 	"storagesched/internal/refine"
-	"storagesched/internal/shard"
 )
 
 // Default admission limits (see ServerConfig).
@@ -135,7 +133,6 @@ func NewServer(session *Session, cfg ServerConfig) *Server {
 	s.bootID = hex.EncodeToString(boot[:])
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("GET /v1/cache/stats", s.handleCacheStats)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -311,8 +308,8 @@ func (s *Server) reject(w http.ResponseWriter, reason error) {
 // sweepSpecFromQuery builds the SweepSpec from /v1/sweep query
 // parameters. The names and defaults mirror the schedcli sweepbatch
 // flags one for one (dmin, dmax, points, grid, no-sbo, no-rls,
-// pending, refine, refine-gap, refine-max-points, shards,
-// shard-policy); docs/API.md is the reference.
+// pending, refine, refine-gap, refine-max-points); docs/API.md is the
+// reference.
 func sweepSpecFromQuery(q url.Values) (SweepSpec, error) {
 	var spec SweepSpec
 	dmin, err := floatParam(q, "dmin", 0.25)
@@ -323,7 +320,7 @@ func sweepSpecFromQuery(q url.Values) (SweepSpec, error) {
 	if err != nil {
 		return spec, err
 	}
-	points, err := intParam(q, "points", 32)
+	points, err := pointsParam(q, "points", 32)
 	if err != nil {
 		return spec, err
 	}
@@ -349,20 +346,25 @@ func sweepSpecFromQuery(q url.Values) (SweepSpec, error) {
 	if spec.RefineGap, err = floatParam(q, "refine-gap", refine.DefaultGap); err != nil {
 		return spec, err
 	}
-	if spec.RefineMaxPoints, err = intParam(q, "refine-max-points", refine.DefaultMaxPoints); err != nil {
+	if spec.RefineMaxPoints, err = pointsParam(q, "refine-max-points", refine.DefaultMaxPoints); err != nil {
 		return spec, err
 	}
-	if spec.Shards, err = intParam(q, "shards", 1); err != nil {
-		return spec, err
+	return spec, nil
+}
+
+// MaxQueryPoints caps the points and refine-max-points query
+// parameters. Each sizes a per-request allocation or loop, so a larger
+// value is refused with 400 before any work runs; the cap sits far
+// above any useful δ-grid.
+const MaxQueryPoints = 4096
+
+// pointsParam is intParam bounded above by MaxQueryPoints.
+func pointsParam(q url.Values, name string, def int) (int, error) {
+	n, err := intParam(q, name, def)
+	if err == nil && n > MaxQueryPoints {
+		err = fmt.Errorf("query parameter %s=%d: above the limit of %d", name, n, MaxQueryPoints)
 	}
-	policy := q.Get("shard-policy")
-	if policy == "" {
-		policy = "hash"
-	}
-	if spec.ShardPolicy, err = shard.ParsePolicy(policy); err != nil {
-		return spec, err
-	}
-	return spec, spec.Validate()
+	return n, err
 }
 
 func floatParam(q url.Values, name string, def float64) (float64, error) {
@@ -520,51 +522,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", metrics.ContentType)
 	s.reg.WriteText(w)
-}
-
-// handleCacheStats is GET /v1/cache/stats: a JSON snapshot of the
-// session cache counters, plus whether caching is enabled at all.
-func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
-	type statsBody struct {
-		Enabled         bool  `json:"enabled"`
-		Entries         int   `json:"entries"`
-		MemBytes        int64 `json:"mem_bytes"`
-		Hits            int64 `json:"hits"`
-		MemHits         int64 `json:"mem_hits"`
-		DiskHits        int64 `json:"disk_hits"`
-		Misses          int64 `json:"misses"`
-		Puts            int64 `json:"puts"`
-		Evictions       int64 `json:"evictions"`
-		WriteErrors     int64 `json:"write_errors"`
-		GCRuns          int64 `json:"gc_runs"`
-		GCEvictions     int64 `json:"gc_evictions"`
-		GCEvictedBytes  int64 `json:"gc_evicted_bytes"`
-		GCTmpRemoved    int64 `json:"gc_tmp_removed"`
-		GCVerifyRemoved int64 `json:"gc_verify_removed"`
-	}
-	var body statsBody
-	if c := s.session.Cache(); c != nil {
-		st := c.Stats()
-		body = statsBody{
-			Enabled:         true,
-			Entries:         c.Len(),
-			MemBytes:        st.MemBytes,
-			Hits:            st.Hits,
-			MemHits:         st.MemHits,
-			DiskHits:        st.DiskHits,
-			Misses:          st.Misses,
-			Puts:            st.Puts,
-			Evictions:       st.Evictions,
-			WriteErrors:     st.WriteErrors,
-			GCRuns:          st.GCRuns,
-			GCEvictions:     st.GCEvictions,
-			GCEvictedBytes:  st.GCEvictedBytes,
-			GCTmpRemoved:    st.GCTmpRemoved,
-			GCVerifyRemoved: st.GCVerifyRemoved,
-		}
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	json.NewEncoder(w).Encode(body)
 }
 
 // handleHealthz is GET /healthz: liveness — the process serves.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"storagesched/internal/cache"
+	"storagesched/internal/metrics"
 )
 
 // Small deterministic test documents: three instances and one task
@@ -102,7 +103,7 @@ func TestServeSweepWarmCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, srv := newTestServer(t, SessionConfig{Cache: fcache}, ServerConfig{})
+	_, _, srv := newTestServer(t, SessionConfig{Cache: fcache, Metrics: metrics.NewRegistry()}, ServerConfig{})
 
 	post := func() ([]byte, string) {
 		resp, err := http.Post(srv.URL+"/v1/sweep?dmin=0.5&dmax=8&points=4", "application/jsonl", strings.NewReader(testBody()))
@@ -132,33 +133,18 @@ func TestServeSweepWarmCache(t *testing.T) {
 		t.Errorf("warm bytes differ from cold:\n cold: %s\n warm: %s", cold, warm)
 	}
 
-	// The stats endpoint reflects the same counters.
-	resp, err := http.Get(srv.URL + "/v1/cache/stats")
-	if err != nil {
-		t.Fatal(err)
+	// The cache counters on /metrics reflect the same traffic.
+	samples, _ := scrapeMetrics(t, srv.URL)
+	if got := sampleInt(t, samples, "sched_cache_hits_total"); got != 3 {
+		t.Errorf("sched_cache_hits_total = %d, want 3", got)
 	}
-	defer resp.Body.Close()
-	var stats struct {
-		Enabled bool  `json:"enabled"`
-		Hits    int64 `json:"hits"`
-		Puts    int64 `json:"puts"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Enabled {
-		t.Error("cache/stats enabled = false, want true")
-	}
-	if stats.Hits != 3 {
-		t.Errorf("cache/stats hits = %d, want 3", stats.Hits)
-	}
-	if stats.Puts != 3 {
-		t.Errorf("cache/stats puts = %d, want 3", stats.Puts)
+	if got := sampleInt(t, samples, "sched_cache_puts_total"); got != 3 {
+		t.Errorf("sched_cache_puts_total = %d, want 3", got)
 	}
 }
 
-// TestServeSweepBadRequest: malformed query parameters and impossible
-// parameter combinations are 400s before any work runs.
+// TestServeSweepBadRequest: malformed or out-of-range query parameters
+// are 400s before any work runs.
 func TestServeSweepBadRequest(t *testing.T) {
 	_, _, srv := newTestServer(t, SessionConfig{}, ServerConfig{})
 	for _, q := range []string{
@@ -166,8 +152,8 @@ func TestServeSweepBadRequest(t *testing.T) {
 		"dmin=low",
 		"grid=spiral",
 		"refine=maybe",
-		"refine=1&shards=2",
-		"shard-policy=alphabetical",
+		"points=1000000000",
+		"refine=1&refine-max-points=1000000000",
 	} {
 		resp, err := http.Post(srv.URL+"/v1/sweep?"+q, "application/jsonl", strings.NewReader(testBody()))
 		if err != nil {

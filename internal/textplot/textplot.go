@@ -1,6 +1,6 @@
 // Package textplot draws small ASCII scatter plots — enough to render
 // Figure 3 (the impossibility domain and the SBO tradeoff curve) in a
-// terminal and in EXPERIMENTS.md.
+// terminal, as the FIG3 experiment in internal/exp prints it.
 package textplot
 
 import (
