@@ -10,7 +10,9 @@ package storagesched
 //	go test -bench=BenchmarkFIG3 -benchmem   # one figure only
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"iter"
@@ -343,6 +345,36 @@ func BenchmarkServeSweep_n50(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		st, err := session.Sweep(ctx, items, spec, io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Items != len(ins) || st.Failed != 0 {
+			b.Fatalf("emitted %d fronts (%d failed), want %d clean", st.Items, st.Failed, len(ins))
+		}
+	}
+}
+
+// BenchmarkServeSweepJSONL_n50 is BenchmarkServeSweep_n50 fed from an
+// in-memory compact JSONL body through serve.DecodeItems, as schedd's
+// POST /v1/sweep feeds it, so the bench gate sees item decoding too.
+func BenchmarkServeSweepJSONL_n50(b *testing.B) {
+	ins, cfg := sweepBatchWorkload(b)
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, in := range ins {
+		if err := enc.Encode(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	session := serve.NewSession(serve.SessionConfig{Workers: cfg.Workers, Resident: true})
+	defer session.Close()
+	spec := serve.SweepSpec{Deltas: cfg.Deltas}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		items := serve.DecodeItems("bench", bytes.NewReader(body.Bytes()), nil)
 		st, err := session.Sweep(ctx, items, spec, io.Discard)
 		if err != nil {
 			b.Fatal(err)

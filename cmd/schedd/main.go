@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -55,6 +56,26 @@ func main() {
 	if err := run(context.Background(), os.Args[1:], os.Stderr, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "schedd: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// Connection timeouts. A client gets readHeaderTimeout to deliver a
+// request's headers and an idle keep-alive connection is closed after
+// idleTimeout, so silent connections cannot pin file descriptors. The
+// body and the streamed response have no deadline, since a large sweep
+// may legitimately upload and stream for minutes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps handler in the daemon's http.Server.
+func newHTTPServer(handler http.Handler, errLog *log.Logger) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ErrorLog:          errLog,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
@@ -131,10 +152,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 		mux.Handle("/", srv)
 		handler = mux
 	}
-	httpSrv := &http.Server{
-		Handler:  handler,
-		ErrorLog: slog.NewLogLogger(logh, slog.LevelError),
-	}
+	httpSrv := newHTTPServer(handler, slog.NewLogLogger(logh, slog.LevelError))
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -435,3 +435,21 @@ func TestScheddRejectsCapsWithoutDir(t *testing.T) {
 		t.Errorf("caps without -cache-dir: err = %v, want a -cache-dir error", err)
 	}
 }
+
+// TestScheddConnectionTimeouts: the daemon's server bounds how long a
+// client may take over its request headers and how long an idle
+// keep-alive connection stays open, and leaves body and response
+// unbounded for streamed sweeps.
+func TestScheddConnectionTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler(), nil)
+	if srv.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", srv.IdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; want both unset for streamed sweeps",
+			srv.ReadTimeout, srv.WriteTimeout)
+	}
+}

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"storagesched/internal/bounds"
 	"storagesched/internal/dag"
@@ -215,26 +216,71 @@ func tieOrder(g *dag.Graph, tie TieBreak) ([]int, error) {
 
 // tieOrderFrom is tieOrder with the bottom levels supplied by the
 // caller (nil unless tie is TieBottomLevel), so prepared sweeps compute
-// them once per graph instead of once per tie-break.
+// them once per graph instead of once per tie-break. Each key is
+// completed by the task index, so the unstable sort yields exactly the
+// stable order over the identity permutation.
 func tieOrderFrom(g *dag.Graph, tie TieBreak, bottom []model.Time) ([]int, error) {
-	n := g.N()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
+	order := identityOrder(g.N())
 	switch tie {
 	case TieByID:
 		// identity
 	case TieSPT:
-		sort.SliceStable(order, func(a, b int) bool { return g.P[order[a]] < g.P[order[b]] })
+		slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(g.P[a], g.P[b]), a-b) })
 	case TieLPT:
-		sort.SliceStable(order, func(a, b int) bool { return g.P[order[a]] > g.P[order[b]] })
+		slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(g.P[b], g.P[a]), a-b) })
 	case TieBottomLevel:
-		sort.SliceStable(order, func(a, b int) bool { return bottom[order[a]] > bottom[order[b]] })
+		slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(bottom[b], bottom[a]), a-b) })
 	default:
 		return nil, fmt.Errorf("core: unknown tie break %d", int(tie))
 	}
 	return order, nil
+}
+
+// identityOrder returns 0..n-1, the TieByID order.
+func identityOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+// independentOrders derives the scheduling order of every tie-break in
+// ties from one sort of the instance by (p desc, id asc). That sort is
+// the LPT order, and on independent tasks it is the bottom-level order
+// too, since a task's bottom level is its own p. SPT is the same order
+// reversed, with every run of equal p flipped back into ID order. The
+// returned slices are shared between tie-breaks and never mutated.
+func independentOrders(in *model.Instance, ties []TieBreak) (map[TieBreak][]int, error) {
+	lpt := identityOrder(in.N())
+	slices.SortFunc(lpt, func(a, b int) int { return cmp.Or(cmp.Compare(in.Tasks[b].P, in.Tasks[a].P), a-b) })
+	orders := make(map[TieBreak][]int, len(ties))
+	for _, tie := range ties {
+		if _, ok := orders[tie]; ok {
+			continue
+		}
+		switch tie {
+		case TieByID:
+			orders[tie] = identityOrder(in.N())
+		case TieLPT, TieBottomLevel:
+			orders[tie] = lpt
+		case TieSPT:
+			spt := slices.Clone(lpt)
+			slices.Reverse(spt)
+			for lo := 0; lo < len(spt); {
+				hi := lo + 1
+				for hi < len(spt) && in.Tasks[spt[hi]].P == in.Tasks[spt[lo]].P {
+					hi++
+				}
+				slices.Reverse(spt[lo:hi])
+				lo = hi
+			}
+			orders[tie] = spt
+		default:
+			return nil, fmt.Errorf("core: unknown tie break %d", int(tie))
+		}
+	}
+	return orders, nil
 }
 
 // tieRank precomputes the priority rank of every task for a tie-break
@@ -421,11 +467,11 @@ func RLSIndependentWithCap(in *model.Instance, cap model.Mem, tie TieBreak) (*RL
 }
 
 func rlsIndependentWithCap(in *model.Instance, cap model.Mem, tie TieBreak) (*RLSResult, error) {
-	order, err := tieOrder(dag.FromInstance(in), tie)
+	orders, err := independentOrders(in, []TieBreak{tie})
 	if err != nil {
 		return nil, err
 	}
-	return rlsIndependentOrdered(in, order, cap, nil)
+	return rlsIndependentOrdered(in, orders[tie], cap, nil)
 }
 
 // rlsIndependentOrdered is the Section 5.2 loop with a precomputed
@@ -501,17 +547,9 @@ func PrepareRLSIndependent(in *model.Instance, ties ...TieBreak) (*RLSPrepared, 
 	if len(ties) == 0 {
 		ties = []TieBreak{TieByID, TieSPT, TieLPT, TieBottomLevel}
 	}
-	g := dag.FromInstance(in)
-	orders := make(map[TieBreak][]int, len(ties))
-	for _, tie := range ties {
-		if _, ok := orders[tie]; ok {
-			continue
-		}
-		order, err := tieOrder(g, tie)
-		if err != nil {
-			return nil, err
-		}
-		orders[tie] = order
+	orders, err := independentOrders(in, ties)
+	if err != nil {
+		return nil, err
 	}
 	return &RLSPrepared{in: in, lb: bounds.MemLB(in.S(), in.M), orders: orders}, nil
 }

@@ -32,11 +32,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"iter"
 	"math"
-	"sort"
+	"slices"
 
 	"storagesched/internal/bounds"
 	"storagesched/internal/core"
@@ -350,36 +351,25 @@ func execute(j job, prepSBO *core.SBOPrepared, prepRLS *core.RLSPrepared, scr *c
 // passes (internal/refine) call it to merge coarse and refined run
 // lists into one deduplicated front.
 func AssembleFront(runs []Run) []FrontPoint {
-	var pts []FrontPoint
+	pts := make([]FrontPoint, 0, len(runs))
 	for i, r := range runs {
 		if r.Err != nil {
 			continue
 		}
 		pts = append(pts, FrontPoint{Value: r.Value, RunIndex: i})
 	}
+	// Sorted by (Cmax, Mmax, run index), a point is non-dominated and
+	// the first of its value exactly when its Mmax is below that of
+	// every point before it.
+	slices.SortFunc(pts, func(a, b FrontPoint) int {
+		return cmp.Or(cmp.Compare(a.Value.Cmax, b.Value.Cmax),
+			cmp.Compare(a.Value.Mmax, b.Value.Mmax), a.RunIndex-b.RunIndex)
+	})
 	var front []FrontPoint
 	for _, p := range pts {
-		dominated := false
-		for _, q := range pts {
-			if q.Value != p.Value && q.Value.WeaklyDominates(p.Value) {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			continue
-		}
-		dup := false
-		for _, o := range front {
-			if o.Value == p.Value {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if len(front) == 0 || p.Value.Mmax < front[len(front)-1].Value.Mmax {
 			front = append(front, p)
 		}
 	}
-	sort.Slice(front, func(a, b int) bool { return front[a].Value.Cmax < front[b].Value.Cmax })
 	return front
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"storagesched/internal/core"
@@ -294,6 +296,66 @@ func TestFrontPrefersLowestRunIndexWitness(t *testing.T) {
 			if res.Runs[i].Err == nil && res.Runs[i].Value == p.Value {
 				t.Fatalf("front witness %d but run %d already achieved %v", p.RunIndex, i, p.Value)
 			}
+		}
+	}
+}
+
+// assembleFrontQuadratic is the pairwise dominance scan AssembleFront
+// replaced, kept as its reference: a point survives when no other
+// value weakly dominates it, the first run of each value is its
+// witness, and the front is sorted by Cmax.
+func assembleFrontQuadratic(runs []Run) []FrontPoint {
+	var pts []FrontPoint
+	for i, r := range runs {
+		if r.Err != nil {
+			continue
+		}
+		pts = append(pts, FrontPoint{Value: r.Value, RunIndex: i})
+	}
+	var front []FrontPoint
+	for _, p := range pts {
+		dominated := false
+		for _, q := range pts {
+			if q.Value != p.Value && q.Value.WeaklyDominates(p.Value) {
+				dominated = true
+				break
+			}
+		}
+		if dominated {
+			continue
+		}
+		dup := false
+		for _, o := range front {
+			if o.Value == p.Value {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			front = append(front, p)
+		}
+	}
+	sort.Slice(front, func(a, b int) bool { return front[a].Value.Cmax < front[b].Value.Cmax })
+	return front
+}
+
+// TestAssembleFrontMatchesQuadratic: the sort-then-sweep front equals
+// the pairwise scan on random run lists. Values come from a small grid
+// so duplicates, shared Cmax and shared Mmax are common, and about a
+// fifth of the runs carry an error.
+func TestAssembleFrontMatchesQuadratic(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		runs := make([]Run, rng.Intn(24))
+		for i := range runs {
+			runs[i].Value = model.Value{Cmax: model.Time(rng.Intn(6)), Mmax: model.Mem(rng.Intn(6))}
+			if rng.Intn(5) == 0 {
+				runs[i].Err = errors.New("failed run")
+			}
+		}
+		got, want := AssembleFront(runs), assembleFrontQuadratic(runs)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: front %v, want %v (runs %+v)", trial, got, want, runs)
 		}
 	}
 }

@@ -16,8 +16,9 @@
 package makespan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"storagesched/internal/model"
 )
@@ -96,12 +97,7 @@ func descendingOrder(sizes []Size) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if sizes[order[a]] != sizes[order[b]] {
-			return sizes[order[a]] > sizes[order[b]]
-		}
-		return order[a] < order[b]
-	})
+	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(sizes[b], sizes[a]), a-b) })
 	return order
 }
 

@@ -11,6 +11,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"storagesched/internal/cache"
@@ -46,9 +49,18 @@ func FuzzReadInstanceJSON(f *testing.F) {
 		`{"m":1,"tasks":[{"p":9223372036854775807,"s":9223372036854775807}]}`,
 		`not json`,
 		`{}`,
+		`{"m":3}`,
+		`{"m":3,"tasks":null}`,
+		`{"m":2,"tasks":[{"p":1,"s":1}]} {"m":2,"tasks":[]}`,
+		`{"m":2,"tasks":[{"p":1.5,"s":1}]}`,
+		`{"m":2,"tasks":[{"p":1,"s":1,"name":"a"}]}`,
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fast, ok := model.ParseInstanceJSON(data)
 		in, err := model.ReadInstanceJSON(bytes.NewReader(data))
+		if ok && (err != nil || !reflect.DeepEqual(fast, in)) {
+			t.Fatalf("ParseInstanceJSON accepted %q as %+v; ReadInstanceJSON: %+v, %v", data, fast, in, err)
+		}
 		if err != nil {
 			return // rejected input; only panics are failures
 		}
@@ -57,6 +69,13 @@ func FuzzReadInstanceJSON(f *testing.F) {
 		var buf bytes.Buffer
 		if err := in.WriteJSON(&buf); err != nil {
 			t.Fatalf("accepted instance failed to encode: %v", err)
+		}
+		if !slices.ContainsFunc(in.Tasks, func(t model.Task) bool { return t.Name != "" }) {
+			// The encoder's own output is canonical: it must take the
+			// fast path.
+			if fast, ok := model.ParseInstanceJSON(buf.Bytes()); !ok || !reflect.DeepEqual(fast, in) {
+				t.Fatalf("ParseInstanceJSON on WriteJSON output %q: %+v, ok=%v; want %+v", buf.Bytes(), fast, ok, in)
+			}
 		}
 		again, err := model.ReadInstanceJSON(&buf)
 		if err != nil {
@@ -67,4 +86,63 @@ func FuzzReadInstanceJSON(f *testing.F) {
 				canonical, got, data)
 		}
 	})
+}
+
+// TestParseInstanceJSONScope pins which documents take the single-pass
+// parser. Canonical documents in any key order and layout must, or the
+// fast path silently stops being taken; everything else must decline,
+// leaving its decode — and its error text — to ReadInstanceJSON.
+func TestParseInstanceJSONScope(t *testing.T) {
+	for _, tc := range []struct {
+		doc    string
+		accept bool
+	}{
+		{`{"m":2,"tasks":[{"id":0,"p":4,"s":1},{"id":1,"p":3,"s":2}]}`, true},
+		{`{"m":2,"tasks":[{"p":4,"s":1},{"p":3}]}`, true},
+		{"\n {\"tasks\" : [ {\"s\":1 , \"p\":4} ] ,\r\n\t\"m\":1 } \n", true},
+		{`{"m":1,"tasks":[]}`, true},
+		{`{"m":1}`, true},
+		{`{"m":1,"tasks":[{}]}`, false}, // p = 0 fails Validate
+		{`{"m":2,"tasks":[{"p":-0,"s":0}]}`, false},
+		{`{"m":1,"tasks":[{"p":9223372036854775807,"s":0}]}`, true},
+		{`{"m":1,"tasks":[{"p":9223372036854775808,"s":0}]}`, false},
+		{`{"m":1,"tasks":[{"p":1,"s":-9223372036854775807}]}`, false},
+		{`{"m":1,"tasks":[{"p":1.0,"s":0}]}`, false},
+		{`{"m":1,"tasks":[{"p":1e2,"s":0}]}`, false},
+		{`{"m":1,"tasks":[{"p":01,"s":0}]}`, false},
+		{`{"m":1,"tasks":[{"p":"1","s":0}]}`, false},
+		{`{"m":1,"tasks":[{"p":1,"s":0,"name":"x"}]}`, false},
+		{`{"m":1,"tasks":[{"\u0070":1,"s":0}]}`, false},
+		{`{"M":1,"tasks":[{"p":1,"s":0}]}`, false},
+		{`{"m":1,"m":1,"tasks":[{"p":1,"s":0}]}`, false},
+		{`{"m":1,"tasks":[{"p":1,"p":1,"s":0}]}`, false},
+		{`{"m":1,"tasks":[],"tasks":[]}`, false},
+		{`{"m":1,"tasks":[{"p":1,"s":0}],"edges":[]}`, false},
+		{`{"source":"a","item":{"m":1,"tasks":[]}}`, false},
+		{`{"m":1,"tasks":null}`, true},
+		{`{"m":1,"tasks":nul}`, false},
+		{`{"m":1,"tasks":nullx}`, false},
+		{`{"m":1,"tasks":[{"p":1,"s":0},]}`, false},
+		{`{"m":1,"tasks":[{"p":1,"s":0}]} {}`, false},
+		{`{"m":1,"tasks":[{"p":1,"s":0}]} x`, false},
+		{`{"m":1,"tasks":[{"p":1,"s":0}]`, false},
+		{`{"m":1,,"tasks":[]}`, false},
+		{`{"m":1 "tasks":[]}`, false},
+		{`{"m":-`, false},
+		{`[]`, false},
+		{``, false},
+	} {
+		fast, ok := model.ParseInstanceJSON([]byte(tc.doc))
+		if ok != tc.accept {
+			t.Errorf("ParseInstanceJSON(%q) ok = %v, want %v", tc.doc, ok, tc.accept)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		ref, err := model.ReadInstanceJSON(strings.NewReader(tc.doc))
+		if err != nil || !reflect.DeepEqual(fast, ref) {
+			t.Errorf("ParseInstanceJSON(%q) = %+v; ReadInstanceJSON: %+v, %v", tc.doc, fast, ref, err)
+		}
+	}
 }

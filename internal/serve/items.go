@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"iter"
@@ -33,12 +34,30 @@ type itemProbe struct {
 
 // decodeOne turns one raw document into a batch item and its source
 // label; source is the default label used when the document is not an
-// envelope (or is one without a "source").
+// envelope (or is one without a "source"). A canonical instance
+// document takes model.ParseInstanceJSON's single pass; everything
+// else, and every error, goes through decodeReference.
 func decodeOne(raw json.RawMessage, source string) (engine.BatchItem, string) {
+	if in, ok := model.ParseInstanceJSON(raw); ok {
+		return engine.BatchItem{Instance: in}, source
+	}
+	return decodeReference(raw, source)
+}
+
+// decodeReference is the encoding/json decode path: probe the
+// document's kind, then decode it with that kind's reader.
+func decodeReference(raw json.RawMessage, source string) (engine.BatchItem, string) {
 	var probe itemProbe
 	// A non-object document (array, number) fails below in the kind
-	// decoder with its real error; the probe only classifies.
-	_ = json.Unmarshal(raw, &probe)
+	// decoder with its real error; the probe only classifies. A syntax
+	// error is final, though: the kind decoders read one value and
+	// would silently drop whatever follows it.
+	if err := json.Unmarshal(raw, &probe); err != nil {
+		var syntax *json.SyntaxError
+		if errors.As(err, &syntax) {
+			return engine.BatchItem{Err: fmt.Errorf("%s: %w", source, err)}, source
+		}
+	}
 	if probe.Item != nil {
 		if probe.Source != nil && *probe.Source != "" {
 			source = *probe.Source

@@ -93,3 +93,35 @@ func TestDecodeJSONLItemsIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeJSONLItemsTrailingData: a line holding a document followed
+// by more data fails alone with the syntax error, instead of sweeping
+// the first document and dropping the rest; the next line still
+// decodes.
+func TestDecodeJSONLItemsTrailingData(t *testing.T) {
+	for _, tc := range []struct {
+		name, line, wantErr string
+	}{
+		{"second document", docInstA + " " + docInstB, "batch.jsonl:1: invalid character '{' after top-level value"},
+		{"junk", docInstA + " junk", "batch.jsonl:1: invalid character 'j' after top-level value"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			items, sources := collect(DecodeJSONLItems("batch.jsonl", strings.NewReader(tc.line+"\n"+docInstB+"\n"), nil))
+			if len(items) != 2 {
+				t.Fatalf("%d items, want 2", len(items))
+			}
+			if items[0].Err == nil || items[0].Err.Error() != tc.wantErr {
+				t.Errorf("line 1 error = %v, want %q", items[0].Err, tc.wantErr)
+			}
+			if items[0].Instance != nil || items[0].Graph != nil {
+				t.Error("line 1 carried a decoded item beside its error")
+			}
+			if items[1].Err != nil || items[1].Instance == nil {
+				t.Errorf("line 2: instance %v, error %v; want a clean instance", items[1].Instance, items[1].Err)
+			}
+			if sources[0] != "batch.jsonl:1" || sources[1] != "batch.jsonl:2" {
+				t.Errorf("sources = %q", sources)
+			}
+		})
+	}
+}
