@@ -250,10 +250,17 @@ func identityOrder(n int) []int {
 // the LPT order, and on independent tasks it is the bottom-level order
 // too, since a task's bottom level is its own p. SPT is the same order
 // reversed, with every run of equal p flipped back into ID order. The
-// returned slices are shared between tie-breaks and never mutated.
+// sort runs only if some tie-break needs it. The returned slices are
+// shared between tie-breaks and never mutated.
 func independentOrders(in *model.Instance, ties []TieBreak) (map[TieBreak][]int, error) {
-	lpt := identityOrder(in.N())
-	slices.SortFunc(lpt, func(a, b int) int { return cmp.Or(cmp.Compare(in.Tasks[b].P, in.Tasks[a].P), a-b) })
+	var lpt []int
+	lptOrder := func() []int {
+		if lpt == nil {
+			lpt = identityOrder(in.N())
+			slices.SortFunc(lpt, func(a, b int) int { return cmp.Or(cmp.Compare(in.Tasks[b].P, in.Tasks[a].P), a-b) })
+		}
+		return lpt
+	}
 	orders := make(map[TieBreak][]int, len(ties))
 	for _, tie := range ties {
 		if _, ok := orders[tie]; ok {
@@ -263,9 +270,9 @@ func independentOrders(in *model.Instance, ties []TieBreak) (map[TieBreak][]int,
 		case TieByID:
 			orders[tie] = identityOrder(in.N())
 		case TieLPT, TieBottomLevel:
-			orders[tie] = lpt
+			orders[tie] = lptOrder()
 		case TieSPT:
-			spt := slices.Clone(lpt)
+			spt := slices.Clone(lptOrder())
 			slices.Reverse(spt)
 			for lo := 0; lo < len(spt); {
 				hi := lo + 1

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -118,6 +119,7 @@ func TestParseInstanceJSONScope(t *testing.T) {
 		{`{"m":1,"tasks":[{"p":1,"p":1,"s":0}]}`, false},
 		{`{"m":1,"tasks":[],"tasks":[]}`, false},
 		{`{"m":1,"tasks":[{"p":1,"s":0}],"edges":[]}`, false},
+		{`{"m":1,"edges":[],"tasks":[{"p":1,"s":0}]}`, false},
 		{`{"source":"a","item":{"m":1,"tasks":[]}}`, false},
 		{`{"m":1,"tasks":null}`, true},
 		{`{"m":1,"tasks":nul}`, false},
@@ -143,6 +145,31 @@ func TestParseInstanceJSONScope(t *testing.T) {
 		ref, err := model.ReadInstanceJSON(strings.NewReader(tc.doc))
 		if err != nil || !reflect.DeepEqual(fast, ref) {
 			t.Errorf("ParseInstanceJSON(%q) = %+v; ReadInstanceJSON: %+v, %v", tc.doc, fast, ref, err)
+		}
+	}
+}
+
+// TestParseInstanceJSONMemoryBound: a document the parser declines
+// costs memory in proportion to what it parsed, not to the bytes — and
+// in particular not to the braces — after that. A daemon body may hold
+// tens of MiB in one string value.
+func TestParseInstanceJSONMemoryBound(t *testing.T) {
+	braces := strings.Repeat("{", 1<<20)
+	for _, doc := range []string{
+		`{"m":1,"tasks":[],"x":"` + braces + `"}`,
+		`{"m":1,"tasks":[{"p":1,"s":0,"x":"` + braces + `"}]}`,
+		`{"m":1,"tasks":[{"p":1,"s":0}],"edges":[],"x":"` + braces + `"}`,
+	} {
+		data := []byte(doc)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, ok := model.ParseInstanceJSON(data)
+		runtime.ReadMemStats(&after)
+		if ok {
+			t.Fatalf("ParseInstanceJSON accepted %.40q…", doc)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("declining %.40q… allocated %d bytes, want at most 64 KiB", doc, n)
 		}
 	}
 }

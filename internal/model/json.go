@@ -70,6 +70,11 @@ func decodedInstance(m int, tasks []Task) (*Instance, error) {
 // producer of error text. On every document it accepts, it returns
 // what ReadInstanceJSON returns.
 func ParseInstanceJSON(data []byte) (*Instance, bool) {
+	// A task DAG's "edges" key follows its tasks; a canonical document
+	// holds no string but its keys, so decline DAGs before parsing them.
+	if bytes.Contains(data, []byte(`"edges"`)) {
+		return nil, false
+	}
 	sc := scanner{b: data}
 	var m int64
 	var tasks []Task
@@ -171,8 +176,9 @@ func (sc *scanner) tasks() ([]Task, bool) {
 	if !sc.eat('[') {
 		return nil, false
 	}
-	// Every task is an object, so the braces left bound the count.
-	tasks := make([]Task, 0, bytes.Count(sc.b[sc.i:], []byte{'{'}))
+	// Grown by append, as encoding/json does, so a document this parser
+	// later declines costs memory in proportion to its tasks only.
+	tasks := []Task{}
 	if sc.eat(']') {
 		return tasks, true
 	}

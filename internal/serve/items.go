@@ -49,15 +49,8 @@ func decodeOne(raw json.RawMessage, source string) (engine.BatchItem, string) {
 func decodeReference(raw json.RawMessage, source string) (engine.BatchItem, string) {
 	var probe itemProbe
 	// A non-object document (array, number) fails below in the kind
-	// decoder with its real error; the probe only classifies. A syntax
-	// error is final, though: the kind decoders read one value and
-	// would silently drop whatever follows it.
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		var syntax *json.SyntaxError
-		if errors.As(err, &syntax) {
-			return engine.BatchItem{Err: fmt.Errorf("%s: %w", source, err)}, source
-		}
-	}
+	// decoder with its real error; the probe only classifies.
+	probeErr := json.Unmarshal(raw, &probe)
 	if probe.Item != nil {
 		if probe.Source != nil && *probe.Source != "" {
 			source = *probe.Source
@@ -74,13 +67,20 @@ func decodeReference(raw json.RawMessage, source string) (engine.BatchItem, stri
 		} else {
 			item.Graph = g
 		}
-		return item, source
-	}
-	in, err := model.ReadInstanceJSON(bytes.NewReader(raw))
-	if err != nil {
-		item.Err = fmt.Errorf("%s: %w", source, err)
 	} else {
-		item.Instance = in
+		in, err := model.ReadInstanceJSON(bytes.NewReader(raw))
+		if err != nil {
+			item.Err = fmt.Errorf("%s: %w", source, err)
+		} else {
+			item.Instance = in
+		}
+	}
+	// The kind decoders read one value and stop, so a document they
+	// accept but the probe finds malformed has data after it: report
+	// that instead of sweeping the first value and dropping the rest.
+	var syntax *json.SyntaxError
+	if item.Err == nil && errors.As(probeErr, &syntax) {
+		return engine.BatchItem{Err: fmt.Errorf("%s: %w", source, probeErr)}, source
 	}
 	return item, source
 }
