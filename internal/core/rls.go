@@ -332,6 +332,16 @@ func predCounts(g *dag.Graph) []int {
 // predecessor counts. It never mutates rank or npreds, so prepared
 // sweeps may run it concurrently against shared slices. scr may be nil;
 // only buffers that escape into the result are freshly allocated.
+//
+// Each step costs O(|ready|·log m + m) rather than a scan of every task
+// and processor. The ready tasks are kept in an explicit list; since
+// ranks are a permutation, the (start, rank) minimum over it does not
+// depend on its order. The processors are kept sorted by memory load,
+// so the ones a task of size s fits on form a prefix of that order,
+// found by binary search (memory sums are assumed not to overflow
+// int64, as everywhere in the solvers). A per-step prefix minimum of
+// (load, index) over the order then names the least-loaded fitting
+// processor, lowest index first on ties.
 func rlsRanked(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch) (*RLSResult, error) {
 	scr, pooled := borrowScratch(scr)
 	defer releaseScratch(scr, pooled)
@@ -342,67 +352,96 @@ func rlsRanked(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch) (*
 	copy(sc.P, g.P)
 	copy(sc.S, g.S)
 
-	load := scr.loads(m)
-	memsize := scr.mems(m)
-	marked := make([]bool, m) // escapes via RLSResult.Marked
-	done := scr.doneBuf(n)
-	pendingPreds := scr.predsBuf(npreds)
-	readyTime := scr.readyBuf(n) // max over preds of completion
+	load := zeroed(&scr.load, m)
+	memsize := zeroed(&scr.mem, m)
+	marked := make([]bool, m)            // escapes via RLSResult.Marked
+	readyTime := zeroed(&scr.readyAt, n) // max over preds of completion
+	ints := zeroed(&scr.ints, 2*n+2*m)
+	pendingPreds := ints[:n]
+	copy(pendingPreds, npreds)
+	// ready lists the unscheduled tasks with no pending predecessor;
+	// each task joins it once, so it never outgrows its n slots.
+	ready := ints[n : n : 2*n]
+	for i, c := range npreds {
+		if c == 0 {
+			ready = append(ready, i)
+		}
+	}
+	// byMem holds the processors in nondecreasing memory load; argmin[k]
+	// is the position in byMem of the least-loaded processor, lowest
+	// index on ties, among byMem[:k+1].
+	byMem, argmin := ints[2*n:2*n+m], ints[2*n+m:]
+	for j := range byMem {
+		byMem[j] = j
+	}
 	var sumCi model.Time
 
 	const inf = model.Time(math.MaxInt64)
 	for scheduled := 0; scheduled < n; scheduled++ {
-		bestTask, bestProc := -1, -1
+		for k := 1; k < m; k++ {
+			b, j := byMem[argmin[k-1]], byMem[k]
+			if load[j] < load[b] || (load[j] == load[b] && j < b) {
+				argmin[k] = k
+			} else {
+				argmin[k] = argmin[k-1]
+			}
+		}
+		bestAt, bestPos := -1, -1
 		bestStart := inf
-		for i := 0; i < n; i++ {
-			if done[i] || pendingPreds[i] != 0 {
-				continue
-			}
-			// Least-loaded processor that respects the memory cap.
-			proc := -1
-			for j := 0; j < m; j++ {
-				if memsize[j]+g.S[i] > cap {
-					continue
+		// Lemma 4 marks every processor less loaded than one chosen for
+		// some ready task. Loads are fixed within a step, so the union of
+		// those marks is every processor below the largest chosen load.
+		var markBelow model.Time
+		for at, i := range ready {
+			lo, hi := 0, m
+			for lo < hi {
+				mid := (lo + hi) / 2
+				if memsize[byMem[mid]]+g.S[i] > cap {
+					hi = mid
+				} else {
+					lo = mid + 1
 				}
-				if proc == -1 || load[j] < load[proc] {
-					proc = j
-				}
 			}
-			if proc == -1 {
+			if lo == 0 {
 				// No processor can take this task. Another ready
 				// task might still fit; defer i.
 				continue
 			}
-			// Analysis bookkeeping (Lemma 4): every processor with a
-			// smaller load than the chosen one was skipped because
-			// of memory.
-			for j := 0; j < m; j++ {
-				if load[j] < load[proc] {
-					marked[j] = true
-				}
-			}
-			start := readyTime[i]
-			if load[proc] > start {
-				start = load[proc]
-			}
-			if start < bestStart || (start == bestStart && (bestTask == -1 || rank[i] < rank[bestTask])) {
-				bestTask, bestProc, bestStart = i, proc, start
+			pos := argmin[lo-1]
+			l := load[byMem[pos]]
+			markBelow = max(markBelow, l)
+			start := max(readyTime[i], l)
+			if start < bestStart || (start == bestStart && (bestAt == -1 || rank[i] < rank[ready[bestAt]])) {
+				bestAt, bestPos, bestStart = at, pos, start
 			}
 		}
-		if bestTask == -1 {
-			return nil, ErrCapTooSmall{Task: firstUnscheduled(done), Cap: cap}
+		if bestAt == -1 {
+			return nil, ErrCapTooSmall{Task: slices.Min(ready), Cap: cap}
 		}
-		i := bestTask
-		sc.Proc[i] = bestProc
+		for j := range load {
+			if load[j] < markBelow {
+				marked[j] = true
+			}
+		}
+		i, proc := ready[bestAt], byMem[bestPos]
+		ready[bestAt] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		sc.Proc[i] = proc
 		sc.Start[i] = bestStart
-		load[bestProc] = bestStart + g.P[i]
-		memsize[bestProc] += g.S[i]
-		sumCi += bestStart + g.P[i]
-		done[i] = true
+		c := bestStart + g.P[i]
+		load[proc] = c
+		memsize[proc] += g.S[i]
+		sumCi += c
+		// Only proc's memory grew: one insertion step restores the order.
+		for k := bestPos; k+1 < m && memsize[byMem[k+1]] < memsize[proc]; k++ {
+			byMem[k], byMem[k+1] = byMem[k+1], proc
+		}
 		for _, w := range g.Succs(i) {
-			pendingPreds[w]--
-			if c := bestStart + g.P[i]; c > readyTime[w] {
+			if c > readyTime[w] {
 				readyTime[w] = c
+			}
+			if pendingPreds[w]--; pendingPreds[w] == 0 {
+				ready = append(ready, w)
 			}
 		}
 	}
@@ -419,15 +458,6 @@ func rlsRanked(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch) (*
 		SumCi:    sumCi,
 	}
 	return res, nil
-}
-
-func firstUnscheduled(done []bool) int {
-	for i, d := range done {
-		if !d {
-			return i
-		}
-	}
-	return -1
 }
 
 // RLSIndependent runs the Section 5.2 independent-task variant: tasks
@@ -494,8 +524,8 @@ func rlsIndependentOrdered(in *model.Instance, order []int, cap model.Mem, scr *
 		sc.P[i] = t.P
 		sc.S[i] = t.S
 	}
-	load := scr.loads(m)
-	memsize := scr.mems(m)
+	load := zeroed(&scr.load, m)
+	memsize := zeroed(&scr.mem, m)
 	marked := make([]bool, m) // escapes via RLSResult.Marked
 	var sumCi model.Time
 	for _, i := range order {
@@ -627,8 +657,9 @@ type RLSGraphPrepared struct {
 }
 
 // PrepareRLS validates the graph and precomputes the tie ranks for the
-// given tie-breaks (all four when none are given) over one shared
-// topological pass.
+// given tie-breaks (all four when none are given). Validation sorts the
+// graph topologically to rule out cycles, and the bottom levels, needed
+// only for TieBottomLevel, run a second topological sort of their own.
 func PrepareRLS(g *dag.Graph, ties ...TieBreak) (*RLSGraphPrepared, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -171,8 +171,8 @@ func (prep *SBOPrepared) RunScratch(delta float64, scr *Scratch) (*SBOResult, er
 func evalAssignment(in *model.Instance, a model.Assignment, scr *Scratch) (model.Time, model.Mem) {
 	scr, pooled := borrowScratch(scr)
 	defer releaseScratch(scr, pooled)
-	loads := scr.loads(in.M)
-	mems := scr.mems(in.M)
+	loads := zeroed(&scr.load, in.M)
+	mems := zeroed(&scr.mem, in.M)
 	for i, t := range in.Tasks {
 		loads[a[i]] += t.P
 		mems[a[i]] += t.S

@@ -7,17 +7,17 @@ import (
 )
 
 // Scratch holds the reusable non-escaping buffers of the solver loops —
-// per-processor loads and memory sizes, and the Algorithm 2 ready-set
-// bookkeeping — so a warm sweep performs O(1) allocations per
-// (item, δ) job instead of O(n). A Scratch is not safe for concurrent
-// use; hold one per worker (the sweep engine does) or pass nil to let
-// the solver borrow one from an internal sync.Pool.
+// per-processor loads and memory sizes, and the Algorithm 2 ready list,
+// predecessor counts, ready times and processor order — so a warm sweep
+// performs O(1) allocations per (item, δ) job instead of O(n). A Scratch
+// is not safe for concurrent use; hold one per worker (the sweep engine
+// does) or pass nil to let the solver borrow one from an internal
+// sync.Pool.
 type Scratch struct {
-	load  []model.Time
-	mem   []model.Mem
-	done  []bool
-	preds []int
-	ready []model.Time
+	load    []model.Time
+	mem     []model.Mem
+	readyAt []model.Time
+	ints    []int // Algorithm 2's per-task and per-processor int slices, back to back
 }
 
 // NewScratch returns an empty scratch; its buffers grow on first use
@@ -41,54 +41,13 @@ func releaseScratch(scr *Scratch, pooled bool) {
 	}
 }
 
-// loads returns a zeroed Time buffer of length n.
-func (scr *Scratch) loads(n int) []model.Time {
-	if cap(scr.load) < n {
-		scr.load = make([]model.Time, n)
+// zeroed returns *buf resliced to a zeroed length n, growing it first
+// when its capacity is short.
+func zeroed[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	s := scr.load[:n]
-	clear(s)
-	return s
-}
-
-// mems returns a zeroed Mem buffer of length n.
-func (scr *Scratch) mems(n int) []model.Mem {
-	if cap(scr.mem) < n {
-		scr.mem = make([]model.Mem, n)
-	}
-	s := scr.mem[:n]
-	clear(s)
-	return s
-}
-
-// doneBuf returns a zeroed bool buffer of length n.
-func (scr *Scratch) doneBuf(n int) []bool {
-	if cap(scr.done) < n {
-		scr.done = make([]bool, n)
-	}
-	s := scr.done[:n]
-	clear(s)
-	return s
-}
-
-// predsBuf returns an int buffer of length n initialized from src.
-func (scr *Scratch) predsBuf(src []int) []int {
-	n := len(src)
-	if cap(scr.preds) < n {
-		scr.preds = make([]int, n)
-	}
-	s := scr.preds[:n]
-	copy(s, src)
-	return s
-}
-
-// readyBuf returns a zeroed Time buffer of length n, distinct from
-// loads so Algorithm 2 can hold both at once.
-func (scr *Scratch) readyBuf(n int) []model.Time {
-	if cap(scr.ready) < n {
-		scr.ready = make([]model.Time, n)
-	}
-	s := scr.ready[:n]
+	s := (*buf)[:n]
 	clear(s)
 	return s
 }
