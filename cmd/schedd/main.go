@@ -108,21 +108,9 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 	if (*cacheMaxBytes != 0 || *cacheMaxAge != 0) && *cacheDir == "" {
 		return fmt.Errorf("-cache-max-bytes/-cache-max-age need -cache-dir (only the persistent tier has a lifecycle)")
 	}
-	// Like serve.OpenCache, but carrying the lifecycle caps so the
-	// background sweep (and any `schedcli cache gc` run with a zero
-	// policy against this cache) enforces them.
-	var fcache *cache.Cache
-	if *cacheDir != "" || *cacheMem != 0 {
-		c, err := cache.New(cache.Config{
-			Dir:        *cacheDir,
-			MemEntries: *cacheMem,
-			MaxBytes:   *cacheMaxBytes,
-			MaxAge:     *cacheMaxAge,
-		})
-		if err != nil {
-			return err
-		}
-		fcache = c
+	fcache, err := serve.OpenCache(*cacheDir, *cacheMem)
+	if err != nil {
+		return err
 	}
 	session := serve.NewSession(serve.SessionConfig{
 		Workers:  *workers,
@@ -168,11 +156,11 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 	}
 
 	// Background cache gc: one sweep at start (collecting whatever a
-	// previous process left behind), then one per -cache-gc-interval.
-	// The zero GCPolicy resolves to the -cache-max-* caps carried by
-	// the cache config. The sweep runs safely against in-flight sweeps
-	// — an evicted entry is just a future miss — and is stopped after
-	// the HTTP drain, before the session releases the pool.
+	// previous process left behind), then one per -cache-gc-interval,
+	// enforcing the -cache-max-* caps. The sweep runs safely against
+	// in-flight sweeps — an evicted entry is just a future miss — and
+	// is stopped after the HTTP drain, before the session releases the
+	// pool.
 	stopGC := func() {}
 	if fcache != nil && *cacheDir != "" && *cacheGCInterval > 0 {
 		gcDone := make(chan struct{})
@@ -182,7 +170,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 			ticker := time.NewTicker(*cacheGCInterval)
 			defer ticker.Stop()
 			for {
-				if res, err := fcache.GC(cache.GCPolicy{}); err != nil {
+				if res, err := fcache.GC(cache.GCPolicy{MaxBytes: *cacheMaxBytes, MaxAge: *cacheMaxAge}); err != nil {
 					logger.Warn("cache gc failed", "err", err.Error())
 				} else {
 					logger.Info("cache gc",

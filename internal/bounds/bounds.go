@@ -13,6 +13,8 @@
 package bounds
 
 import (
+	"slices"
+
 	"storagesched/internal/dag"
 	"storagesched/internal/model"
 )
@@ -28,22 +30,6 @@ func ceilDiv(a int64, b int64) int64 {
 func MemLB(s []model.Mem, m int) model.Mem {
 	var mx, sum model.Mem
 	for _, x := range s {
-		if x > mx {
-			mx = x
-		}
-		sum += x
-	}
-	if avg := ceilDiv(sum, int64(m)); avg > mx {
-		return avg
-	}
-	return mx
-}
-
-// MakespanLB returns the standard lower bound on C*max for independent
-// tasks: max(max_i p_i, ceil(Σ p_i / m)).
-func MakespanLB(p []model.Time, m int) model.Time {
-	var mx, sum model.Time
-	for _, x := range p {
 		if x > mx {
 			mx = x
 		}
@@ -83,10 +69,10 @@ func ForInstance(in *model.Instance) Record {
 	r.MaxP = in.MaxP()
 	r.WorkOverM = ceilDiv(in.TotalWork(), int64(in.M))
 	r.CriticalPath = r.MaxP
-	r.CmaxLB = maxT(r.MaxP, r.WorkOverM)
+	r.CmaxLB = max(r.MaxP, r.WorkOverM)
 	r.MaxS = in.MaxS()
 	r.MemOverM = ceilDiv(in.TotalMem(), int64(in.M))
-	r.MmaxLB = maxM(r.MaxS, r.MemOverM)
+	r.MmaxLB = max(r.MaxS, r.MemOverM)
 	r.SumCiLB = SumCiSPT(in.P(), in.M)
 	return r
 }
@@ -108,10 +94,10 @@ func ForGraph(g *dag.Graph) (Record, error) {
 	r.MaxP = maxP
 	r.WorkOverM = ceilDiv(g.TotalWork(), int64(g.M))
 	r.CriticalPath = cp
-	r.CmaxLB = maxT(maxT(r.MaxP, r.WorkOverM), cp)
+	r.CmaxLB = max(r.MaxP, r.WorkOverM, cp)
 	r.MaxS = g.MaxS()
 	r.MemOverM = ceilDiv(g.TotalMem(), int64(g.M))
-	r.MmaxLB = maxM(r.MaxS, r.MemOverM)
+	r.MmaxLB = max(r.MaxS, r.MemOverM)
 	r.SumCiLB = SumCiSPT(g.P, g.M)
 	return r, nil
 }
@@ -121,9 +107,8 @@ func ForGraph(g *dag.Graph) (Record, error) {
 // recalled in Section 5.2), so this is the exact optimum on independent
 // tasks and a lower bound with precedence constraints.
 func SumCiSPT(p []model.Time, m int) model.Time {
-	sorted := append([]model.Time(nil), p...)
-	// Insertion-free sort: small n dominates usage, stdlib sort fine.
-	sortTimes(sorted)
+	sorted := slices.Clone(p)
+	slices.Sort(sorted)
 	loads := make([]model.Time, m)
 	var total model.Time
 	for _, x := range sorted {
@@ -134,60 +119,6 @@ func SumCiSPT(p []model.Time, m int) model.Time {
 	return total
 }
 
-func sortTimes(xs []model.Time) {
-	// Simple branch to keep hot small cases fast.
-	if len(xs) < 2 {
-		return
-	}
-	quickSortTimes(xs, 0, len(xs)-1)
-}
-
-func quickSortTimes(xs []model.Time, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && xs[j] < xs[j-1]; j-- {
-					xs[j], xs[j-1] = xs[j-1], xs[j]
-				}
-			}
-			return
-		}
-		mid := lo + (hi-lo)/2
-		// Median-of-three pivot.
-		if xs[mid] < xs[lo] {
-			xs[mid], xs[lo] = xs[lo], xs[mid]
-		}
-		if xs[hi] < xs[lo] {
-			xs[hi], xs[lo] = xs[lo], xs[hi]
-		}
-		if xs[hi] < xs[mid] {
-			xs[hi], xs[mid] = xs[mid], xs[hi]
-		}
-		pivot := xs[mid]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quickSortTimes(xs, lo, j)
-			lo = i
-		} else {
-			quickSortTimes(xs, i, hi)
-			hi = j
-		}
-	}
-}
-
 func argminT(xs []model.Time) int {
 	best := 0
 	for i, x := range xs {
@@ -196,18 +127,4 @@ func argminT(xs []model.Time) int {
 		}
 	}
 	return best
-}
-
-func maxT(a, b model.Time) model.Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxM(a, b model.Mem) model.Mem {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -28,15 +28,6 @@ func TestMemLB(t *testing.T) {
 	}
 }
 
-func TestMakespanLB(t *testing.T) {
-	if got := MakespanLB([]model.Time{10, 1, 1}, 4); got != 10 {
-		t.Errorf("MakespanLB = %d, want 10", got)
-	}
-	if got := MakespanLB([]model.Time{3, 3, 3, 3}, 2); got != 6 {
-		t.Errorf("MakespanLB = %d, want 6", got)
-	}
-}
-
 func TestForInstance(t *testing.T) {
 	in := model.NewInstance(2, []model.Time{4, 2, 7}, []model.Mem{1, 5, 3})
 	r := ForInstance(in)
@@ -149,25 +140,6 @@ func TestPropertyLBsAreLowerBounds(t *testing.T) {
 		return in.Cmax(a) >= r.CmaxLB &&
 			in.Mmax(a) >= r.MmaxLB &&
 			in.SumCi(a) >= r.SumCiLB
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertySortTimes(t *testing.T) {
-	f := func(xs []int16) bool {
-		ts := make([]model.Time, len(xs))
-		for i, x := range xs {
-			ts[i] = model.Time(x)
-		}
-		sortTimes(ts)
-		for i := 1; i < len(ts); i++ {
-			if ts[i-1] > ts[i] {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -30,7 +30,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"storagesched/internal/dag"
 	"storagesched/internal/model"
@@ -144,15 +143,6 @@ type Config struct {
 	// never promoted to memory — it is still served from the
 	// persistent tier.
 	MemBytes int64
-
-	// MaxBytes and MaxAge are the lifecycle defaults a GC sweep with
-	// a zero GCPolicy enforces on the persistent tier: total bytes
-	// capped at MaxBytes (oldest entries evicted first), entries
-	// older than MaxAge evicted regardless. Zero leaves the axis
-	// unbounded. They bound nothing by themselves — something must
-	// call GC (schedd's background ticker, `schedcli cache gc`).
-	MaxBytes int64
-	MaxAge   time.Duration
 }
 
 // DefaultMemEntries is the memory-tier entry capacity when
@@ -194,8 +184,7 @@ type Stats struct {
 // usable; construct with New. A nil *Cache is a valid "caching off"
 // value: Get always misses and Put is a no-op.
 type Cache struct {
-	dir   string    // Dir-configured store location ("" when Store or memory-only)
-	store BlobStore // persistent tier; nil falls back to dir (see blob)
+	store BlobStore // persistent tier; nil when memory-only
 
 	mu       sync.Mutex
 	entries  map[Key]*entry
@@ -205,19 +194,10 @@ type Cache struct {
 	memBytes int64 // byte budget; <= 0 means unbounded
 	bytes    int64 // resident memory-tier bytes
 
-	pol lifecycleDefaults
-
 	hits, misses, memHits, diskHits     atomic.Int64
 	puts, evictions, writeErrors        atomic.Int64
 	gcRuns, gcEvictions, gcEvictedBytes atomic.Int64
 	gcTmpRemoved, gcVerifyRemoved       atomic.Int64
-}
-
-// lifecycleDefaults are the Config-supplied caps a zero GCPolicy
-// resolves to.
-type lifecycleDefaults struct {
-	maxBytes int64
-	maxAge   time.Duration
 }
 
 // entry is one memory-tier value on the intrusive LRU list.
@@ -253,32 +233,18 @@ func New(cfg Config) (*Cache, error) {
 		store:    cfg.Store,
 		cap:      capN,
 		memBytes: memBytes,
-		pol:      lifecycleDefaults{maxBytes: cfg.MaxBytes, maxAge: cfg.MaxAge},
 	}
 	if cfg.Store == nil && cfg.Dir != "" {
 		st, err := NewDirStore(cfg.Dir)
 		if err != nil {
 			return nil, err
 		}
-		c.dir = cfg.Dir
 		c.store = st
 	}
 	if capN > 0 {
 		c.entries = make(map[Key]*entry)
 	}
 	return c, nil
-}
-
-// blob returns the persistent tier, deriving a DirStore on the fly for
-// caches assembled from a bare dir (the in-package tests' shortcut).
-func (c *Cache) blob() BlobStore {
-	if c.store != nil {
-		return c.store
-	}
-	if c.dir != "" {
-		return DirStore{dir: c.dir}
-	}
-	return nil
 }
 
 // Get returns the value stored at key. A memory hit refreshes the
@@ -300,8 +266,8 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 		}
 		c.mu.Unlock()
 	}
-	if st := c.blob(); st != nil {
-		if val, ok := st.Get(key); ok && len(val) > 0 {
+	if c.store != nil {
+		if val, ok := c.store.Get(key); ok && len(val) > 0 {
 			c.promote(key, val)
 			c.hits.Add(1)
 			c.diskHits.Add(1)
@@ -322,11 +288,10 @@ func (c *Cache) Put(key Key, val []byte) {
 	}
 	c.puts.Add(1)
 	c.promote(key, val)
-	st := c.blob()
-	if st == nil {
+	if c.store == nil {
 		return
 	}
-	if err := st.Put(key, val); err != nil {
+	if err := c.store.Put(key, val); err != nil {
 		c.writeErrors.Add(1)
 	}
 }
@@ -372,11 +337,6 @@ func (c *Cache) MemBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
-}
-
-// path is the disk location of a key under a Dir-configured store.
-func (c *Cache) path(key Key) string {
-	return DirStore{dir: c.dir}.path(key)
 }
 
 // promote inserts (or refreshes) a memory-tier entry, evicting from

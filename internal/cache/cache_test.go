@@ -170,9 +170,10 @@ func TestCorruptDiskEntriesAreMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKey(2)
+	path := DirStore{dir: dir}.path(key)
 
 	// Truncated-to-empty entry: miss.
-	if err := os.WriteFile(c.path(key), nil, 0o644); err != nil {
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(key); ok {
@@ -182,10 +183,10 @@ func TestCorruptDiskEntriesAreMisses(t *testing.T) {
 	// Unreadable entry (a directory squatting on the path — robust even
 	// when the tests run as root, for whom mode bits are advisory):
 	// miss, not an error.
-	if err := os.Remove(c.path(key)); err != nil {
+	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Mkdir(c.path(key), 0o755); err != nil {
+	if err := os.Mkdir(path, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(key); ok {
@@ -196,7 +197,7 @@ func TestCorruptDiskEntriesAreMisses(t *testing.T) {
 	}
 
 	// Recompute-and-overwrite heals the entry.
-	if err := os.Remove(c.path(key)); err != nil {
+	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
 	c.Put(key, []byte("good"))
@@ -213,7 +214,7 @@ func TestDiskWriteErrorsAreCountedNotFatal(t *testing.T) {
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c := &Cache{dir: file}
+	c := &Cache{store: DirStore{dir: file}}
 	c.Put(testKey(3), []byte("v"))
 	if st := c.Stats(); st.WriteErrors != 1 {
 		t.Errorf("write errors = %d, want 1", st.WriteErrors)

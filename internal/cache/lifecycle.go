@@ -28,19 +28,16 @@ import (
 // complete in milliseconds), only to a process that died mid-Put.
 const DefaultTmpAge = time.Hour
 
-// GCPolicy parameterizes one eviction sweep. The zero value of
-// MaxBytes/MaxAge falls back to the cache Config's lifecycle caps;
-// negative values explicitly unbound the axis for this sweep.
+// GCPolicy parameterizes one eviction sweep. A MaxBytes or MaxAge of
+// zero or less leaves that axis unbounded, so the zero policy only
+// collects orphaned tmps.
 type GCPolicy struct {
 	// MaxBytes caps the persistent tier's total entry bytes; the
 	// sweep evicts oldest-first (mod time, then key) until under it.
-	// 0 falls back to Config.MaxBytes; <= 0 after fallback leaves the
-	// size axis unbounded.
 	MaxBytes int64
 
 	// MaxAge evicts entries last written longer than this ago,
-	// regardless of size. 0 falls back to Config.MaxAge; <= 0 after
-	// fallback leaves the age axis unbounded.
+	// regardless of size.
 	MaxAge time.Duration
 
 	// TmpAge is the orphaned-tmp cutoff; 0 means DefaultTmpAge,
@@ -81,7 +78,7 @@ func (c *Cache) GC(pol GCPolicy) (GCResult, error) {
 	if c == nil {
 		return res, nil
 	}
-	st := c.blob()
+	st := c.store
 	if st == nil {
 		return res, nil
 	}
@@ -106,15 +103,6 @@ func (c *Cache) GC(pol GCPolicy) (GCResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("cache: sweeping orphaned tmps: %w", err)
 		}
-	}
-
-	maxBytes := pol.MaxBytes
-	if maxBytes == 0 {
-		maxBytes = c.pol.maxBytes
-	}
-	maxAge := pol.MaxAge
-	if maxAge == 0 {
-		maxAge = c.pol.maxAge
 	}
 
 	infos, err := st.List()
@@ -147,8 +135,8 @@ func (c *Cache) GC(pol GCPolicy) (GCResult, error) {
 	// Age pass: anything last written before the cutoff goes,
 	// regardless of the size budget.
 	survivors := infos[:0]
-	if maxAge > 0 {
-		cutoff := now.Add(-maxAge)
+	if pol.MaxAge > 0 {
+		cutoff := now.Add(-pol.MaxAge)
 		for _, info := range infos {
 			if info.ModTime.Before(cutoff) {
 				evict(info, true)
@@ -163,7 +151,7 @@ func (c *Cache) GC(pol GCPolicy) (GCResult, error) {
 	// Size pass: oldest first, ties broken on the key's hex form so
 	// two sweeps of the same state — on any machine — evict the same
 	// entries in the same order.
-	if maxBytes > 0 {
+	if pol.MaxBytes > 0 {
 		sort.Slice(survivors, func(i, j int) bool {
 			if !survivors[i].ModTime.Equal(survivors[j].ModTime) {
 				return survivors[i].ModTime.Before(survivors[j].ModTime)
@@ -175,7 +163,7 @@ func (c *Cache) GC(pol GCPolicy) (GCResult, error) {
 			total += info.Size
 		}
 		keep := survivors
-		for len(keep) > 0 && total > maxBytes {
+		for len(keep) > 0 && total > pol.MaxBytes {
 			info := keep[0]
 			keep = keep[1:]
 			total -= info.Size
@@ -214,7 +202,7 @@ func (c *Cache) Verify(check func(key Key, val []byte) error) (VerifyResult, err
 	if c == nil {
 		return res, nil
 	}
-	st := c.blob()
+	st := c.store
 	if st == nil {
 		return res, nil
 	}

@@ -129,7 +129,7 @@ func TestGCSizeCapEvictsOldestFirstWithKeyTieBreak(t *testing.T) {
 	// entry with the smallest key.
 	var survivors [][]Key
 	for range 2 {
-		c, _ := build(t)
+		c, dir := build(t)
 		res, err := c.GC(GCPolicy{MaxBytes: 20, Now: now})
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +145,7 @@ func TestGCSizeCapEvictsOldestFirstWithKeyTieBreak(t *testing.T) {
 		}
 		var left []Key
 		for _, k := range keys {
-			if _, ok := (DirStore{dir: dirOf(c)}).Stat(k); ok {
+			if _, ok := (DirStore{dir: dir}).Stat(k); ok {
 				left = append(left, k)
 			}
 		}
@@ -156,43 +156,26 @@ func TestGCSizeCapEvictsOldestFirstWithKeyTieBreak(t *testing.T) {
 	}
 }
 
-// dirOf recovers the Dir-configured location for test assertions.
-func dirOf(c *Cache) string { return c.dir }
-
-// Config caps are the zero GCPolicy's fallback — what schedd's
-// background ticker relies on.
-func TestGCZeroPolicyFallsBackToConfigCaps(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Config{Dir: dir, MaxBytes: 12, MaxAge: 24 * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	plantEntry(t, dir, testKey(1), []byte("stale entry"), now.Add(-48*time.Hour))
-	plantEntry(t, dir, testKey(2), []byte("0123456789"), now.Add(-2*time.Hour))
-	plantEntry(t, dir, testKey(3), []byte("0123456789"), now.Add(-time.Hour))
-
-	res, err := c.GC(GCPolicy{Now: now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EvictedAge != 1 {
-		t.Errorf("EvictedAge = %d, want 1 (Config.MaxAge fallback)", res.EvictedAge)
-	}
-	if res.EvictedSize != 1 {
-		t.Errorf("EvictedSize = %d, want 1 (Config.MaxBytes fallback)", res.EvictedSize)
-	}
-	if _, ok := c.Get(testKey(3)); !ok {
-		t.Error("newest entry lost")
-	}
-	// An explicitly negative policy unbinds the axis for one sweep.
-	plantEntry(t, dir, testKey(4), []byte("stale again"), now.Add(-48*time.Hour))
-	res, err = c.GC(GCPolicy{MaxBytes: -1, MaxAge: -1, Now: now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EvictedAge != 0 || res.EvictedSize != 0 {
-		t.Errorf("negative policy still evicted: %+v", res)
+// A policy whose caps are zero or negative leaves both axes
+// unbounded: the sweep evicts nothing, however old or large the tier.
+func TestGCUnboundedPolicyEvictsNothing(t *testing.T) {
+	for _, pol := range []GCPolicy{{}, {MaxBytes: -1, MaxAge: -1}} {
+		dir := t.TempDir()
+		c, err := New(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := time.Now()
+		plantEntry(t, dir, testKey(1), []byte("stale entry"), now.Add(-48*time.Hour))
+		plantEntry(t, dir, testKey(2), []byte("0123456789"), now)
+		pol.Now = now
+		res, err := c.GC(pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.EvictedAge != 0 || res.EvictedSize != 0 || res.Live != 2 {
+			t.Errorf("GC(%+v) = %+v, want nothing evicted, 2 live", pol, res)
+		}
 	}
 }
 

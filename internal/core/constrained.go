@@ -61,19 +61,7 @@ func ConstrainedDAG(g *dag.Graph, capM model.Mem, tie TieBreak) (*RLSResult, err
 // Graham lower bound and ErrNotCertified in the [LB, 2·LB) band where
 // the greedy may legitimately fail, exactly like ConstrainedDAG.
 func (prep *RLSGraphPrepared) Constrained(capM model.Mem, tie TieBreak) (*RLSResult, error) {
-	lb := prep.lb
-	if capM < lb {
-		return nil, fmt.Errorf("%w (LB=%d, budget=%d)", ErrInfeasible, lb, capM)
-	}
-	res, err := prep.RunWithCap(capM, tie)
-	if err != nil {
-		var tooSmall ErrCapTooSmall
-		if errors.As(err, &tooSmall) {
-			return nil, fmt.Errorf("%w (LB=%d, budget=%d)", ErrNotCertified, lb, capM)
-		}
-		return nil, err
-	}
-	return res, nil
+	return constrainedRLS(prep, capM, tie)
 }
 
 // Constrained is the independent-task mirror of the DAG solver: it
@@ -83,7 +71,21 @@ func (prep *RLSGraphPrepared) Constrained(capM model.Mem, tie TieBreak) (*RLSRes
 // budget — the validation and tie-break orders are shared across the
 // whole band.
 func (prep *RLSPrepared) Constrained(capM model.Mem, tie TieBreak) (*RLSResult, error) {
-	lb := prep.lb
+	return constrainedRLS(prep, capM, tie)
+}
+
+// capRunner is the prepared RLS state the Section 7 solver needs: the
+// memoized lower bound and an explicit-cap run.
+type capRunner interface {
+	LB() model.Mem
+	RunWithCap(cap model.Mem, tie TieBreak) (*RLSResult, error)
+}
+
+// constrainedRLS runs RLS under the hard budget capM and maps the
+// outcome onto the Section 7 contract: ErrInfeasible below LB, and
+// ErrNotCertified when the greedy finds no processor for some task.
+func constrainedRLS(prep capRunner, capM model.Mem, tie TieBreak) (*RLSResult, error) {
+	lb := prep.LB()
 	if capM < lb {
 		return nil, fmt.Errorf("%w (LB=%d, budget=%d)", ErrInfeasible, lb, capM)
 	}

@@ -141,25 +141,26 @@ func TestErrCapTooSmallMessage(t *testing.T) {
 func TestTieRankOrders(t *testing.T) {
 	in := model.NewInstance(2, []model.Time{5, 1, 3}, []model.Mem{0, 0, 0})
 	g := dag.FromInstance(in)
-	spt, err := tieRank(g, TieSPT)
+	prep, err := PrepareRLS(g, TieSPT, TieLPT, TieByID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spt := prep.ranks[TieSPT]
 	// Task 1 (p=1) first, then 2 (p=3), then 0 (p=5).
 	if spt[1] != 0 || spt[2] != 1 || spt[0] != 2 {
 		t.Errorf("SPT ranks = %v", spt)
 	}
-	lpt, _ := tieRank(g, TieLPT)
+	lpt := prep.ranks[TieLPT]
 	if lpt[0] != 0 || lpt[2] != 1 || lpt[1] != 2 {
 		t.Errorf("LPT ranks = %v", lpt)
 	}
-	id, _ := tieRank(g, TieByID)
+	id := prep.ranks[TieByID]
 	for i, r := range id {
 		if r != i {
 			t.Errorf("ID rank[%d] = %d", i, r)
 		}
 	}
-	if _, err := tieRank(g, TieBreak(99)); err == nil {
+	if _, err := PrepareRLS(g, TieBreak(99)); err == nil {
 		t.Error("unknown tie-break accepted")
 	}
 }

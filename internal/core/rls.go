@@ -30,6 +30,31 @@ const (
 	TieBottomLevel
 )
 
+// numTies is the number of tie-break rules; a TieBreak outside
+// [0, numTies) is unknown.
+const numTies = 4
+
+// checkTie rejects an unknown tie-break.
+func checkTie(tie TieBreak) error {
+	if tie < 0 || tie >= numTies {
+		return fmt.Errorf("core: unknown tie break %d", int(tie))
+	}
+	return nil
+}
+
+// byTie holds one prepared order or rank slice per tie-break, nil where
+// the tie-break was not prepared. A prepared slice is non-nil even for
+// an empty instance.
+type byTie [numTies][]int
+
+// get returns the slice prepared for tie.
+func (t *byTie) get(tie TieBreak) ([]int, error) {
+	if checkTie(tie) != nil || t[tie] == nil {
+		return nil, fmt.Errorf("core: tie-break %s not prepared", tie)
+	}
+	return t[tie], nil
+}
+
 // String implements fmt.Stringer for experiment tables.
 func (t TieBreak) String() string {
 	switch t {
@@ -114,20 +139,6 @@ func RLSSumCiRatio(delta float64) float64 {
 	return 2 + 1/(delta-2)
 }
 
-// checkRLSDelta validates the RLS parameter: ∆ must be a finite number
-// ≥ 2 (Lemma 4 gives no guarantee below 2, and a non-finite ∆ has no
-// exact rational form — big.Rat.SetFloat64 returns nil for it, which
-// used to surface as a nil-pointer panic deep inside memCapFloor).
-func checkRLSDelta(delta float64) error {
-	if math.IsNaN(delta) || math.IsInf(delta, 0) {
-		return fmt.Errorf("core: RLS delta = %g is not finite", delta)
-	}
-	if delta < 2 {
-		return fmt.Errorf("core: RLS delta = %g, need delta >= 2 (Lemma 4)", delta)
-	}
-	return nil
-}
-
 // MemCap returns the per-processor budget ⌊∆·LB⌋ that RLS∆ enforces,
 // exported for sweep engines that memoize LB per instance and derive
 // each grid point's cap from it. ∆ is a float64 and hence an exact
@@ -143,6 +154,19 @@ func MemCap(delta float64, lb model.Mem) (model.Mem, error) {
 	return cap, nil
 }
 
+// deltaCap validates the RLS parameter and returns its budget
+// ⌊∆·LB⌋. ∆ must be a finite number ≥ 2: Lemma 4 gives no guarantee
+// below 2, and a non-finite ∆ has no exact rational form.
+func deltaCap(delta float64, lb model.Mem) (model.Mem, error) {
+	if math.IsNaN(delta) || math.IsInf(delta, 0) {
+		return 0, fmt.Errorf("core: RLS delta = %g is not finite", delta)
+	}
+	if delta < 2 {
+		return 0, fmt.Errorf("core: RLS delta = %g, need delta >= 2 (Lemma 4)", delta)
+	}
+	return MemCap(delta, lb)
+}
+
 // RLS runs Algorithm 2 (Restricted List Scheduling) on a task DAG with
 // parameter ∆ ≥ 2. It schedules, at each step, the ready task that can
 // start the soonest on its least-loaded memory-feasible processor,
@@ -150,24 +174,11 @@ func MemCap(delta float64, lb model.Mem) (model.Mem, error) {
 // processor always exists (the counting argument behind Lemma 4), so
 // the only error conditions are malformed inputs.
 func RLS(g *dag.Graph, delta float64, tie TieBreak) (*RLSResult, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkRLSDelta(delta); err != nil {
-		return nil, err
-	}
-	lb := bounds.MemLB(g.S, g.M)
-	cap, err := MemCap(delta, lb)
+	prep, err := PrepareRLS(g, tie)
 	if err != nil {
 		return nil, err
 	}
-	res, err := rlsWithCap(g, cap, tie)
-	if err != nil {
-		return nil, err
-	}
-	res.Delta = delta
-	res.LB = lb
-	return res, nil
+	return prep.Run(delta, tie)
 }
 
 // RLSWithCap runs the same loop with an explicit per-processor memory
@@ -175,18 +186,11 @@ func RLS(g *dag.Graph, delta float64, tie TieBreak) (*RLSResult, error) {
 // needs. It fails with ErrCapTooSmall when some ready task fits on no
 // processor, which can only happen for caps below 2·LB.
 func RLSWithCap(g *dag.Graph, cap model.Mem, tie TieBreak) (*RLSResult, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	res, err := rlsWithCap(g, cap, tie)
+	prep, err := PrepareRLS(g, tie)
 	if err != nil {
 		return nil, err
 	}
-	res.LB = bounds.MemLB(g.S, g.M)
-	if res.LB > 0 {
-		res.Delta = float64(cap) / float64(res.LB)
-	}
-	return res, nil
+	return prep.RunWithCap(cap, tie)
 }
 
 // ErrCapTooSmall reports that the explicit memory cap made some task
@@ -200,26 +204,14 @@ func (e ErrCapTooSmall) Error() string {
 	return fmt.Sprintf("core: task %d fits on no processor under memory cap %d", e.Task, e.Cap)
 }
 
-// tieOrder precomputes the scheduling priority order for a tie-break
-// rule: order[r] is the task scheduled r-th when all else is equal.
-func tieOrder(g *dag.Graph, tie TieBreak) ([]int, error) {
-	var bottom []model.Time
-	if tie == TieBottomLevel {
-		bl, err := g.BottomLevels()
-		if err != nil {
-			return nil, err
-		}
-		bottom = bl
-	}
-	return tieOrderFrom(g, tie, bottom)
-}
-
-// tieOrderFrom is tieOrder with the bottom levels supplied by the
-// caller (nil unless tie is TieBottomLevel), so prepared sweeps compute
-// them once per graph instead of once per tie-break. Each key is
-// completed by the task index, so the unstable sort yields exactly the
-// stable order over the identity permutation.
-func tieOrderFrom(g *dag.Graph, tie TieBreak, bottom []model.Time) ([]int, error) {
+// tieOrderFrom returns the scheduling priority order of a known
+// tie-break rule on a graph: order[r] is the task scheduled r-th when
+// all else is equal. The bottom levels are supplied by the caller (nil
+// unless tie is TieBottomLevel), so PrepareRLS computes them once per
+// graph instead of once per tie-break. Each key is completed by the
+// task index, so the unstable sort yields exactly the stable order over
+// the identity permutation.
+func tieOrderFrom(g *dag.Graph, tie TieBreak, bottom []model.Time) []int {
 	order := identityOrder(g.N())
 	switch tie {
 	case TieByID:
@@ -230,10 +222,8 @@ func tieOrderFrom(g *dag.Graph, tie TieBreak, bottom []model.Time) ([]int, error
 		slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(g.P[b], g.P[a]), a-b) })
 	case TieBottomLevel:
 		slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(bottom[b], bottom[a]), a-b) })
-	default:
-		return nil, fmt.Errorf("core: unknown tie break %d", int(tie))
 	}
-	return order, nil
+	return order
 }
 
 // identityOrder returns 0..n-1, the TieByID order.
@@ -252,7 +242,7 @@ func identityOrder(n int) []int {
 // reversed, with every run of equal p flipped back into ID order. The
 // sort runs only if some tie-break needs it. The returned slices are
 // shared between tie-breaks and never mutated.
-func independentOrders(in *model.Instance, ties []TieBreak) (map[TieBreak][]int, error) {
+func independentOrders(in *model.Instance, ties []TieBreak) (byTie, error) {
 	var lpt []int
 	lptOrder := func() []int {
 		if lpt == nil {
@@ -261,9 +251,12 @@ func independentOrders(in *model.Instance, ties []TieBreak) (map[TieBreak][]int,
 		}
 		return lpt
 	}
-	orders := make(map[TieBreak][]int, len(ties))
+	var orders byTie
 	for _, tie := range ties {
-		if _, ok := orders[tie]; ok {
+		if err := checkTie(tie); err != nil {
+			return byTie{}, err
+		}
+		if orders[tie] != nil {
 			continue
 		}
 		switch tie {
@@ -283,21 +276,9 @@ func independentOrders(in *model.Instance, ties []TieBreak) (map[TieBreak][]int,
 				lo = hi
 			}
 			orders[tie] = spt
-		default:
-			return nil, fmt.Errorf("core: unknown tie break %d", int(tie))
 		}
 	}
 	return orders, nil
-}
-
-// tieRank precomputes the priority rank of every task for a tie-break
-// rule (lower rank = scheduled first on ties).
-func tieRank(g *dag.Graph, tie TieBreak) ([]int, error) {
-	order, err := tieOrder(g, tie)
-	if err != nil {
-		return nil, err
-	}
-	return rankOf(order), nil
 }
 
 // rankOf inverts a priority order into per-task ranks.
@@ -309,29 +290,10 @@ func rankOf(order []int) []int {
 	return rank
 }
 
-// rlsWithCap is the shared Algorithm 2 entry for unprepared calls.
-func rlsWithCap(g *dag.Graph, cap model.Mem, tie TieBreak) (*RLSResult, error) {
-	rank, err := tieRank(g, tie)
-	if err != nil {
-		return nil, err
-	}
-	return rlsRanked(g, rank, predCounts(g), cap, nil)
-}
-
-// predCounts returns the per-task predecessor counts that seed the
-// ready-set bookkeeping of the Algorithm 2 loop.
-func predCounts(g *dag.Graph) []int {
-	np := make([]int, g.N())
-	for v := range np {
-		np[v] = len(g.Preds(v))
-	}
-	return np
-}
-
-// rlsRanked is the Algorithm 2 loop with a precomputed tie rank and
-// predecessor counts. It never mutates rank or npreds, so prepared
-// sweeps may run it concurrently against shared slices. scr may be nil;
-// only buffers that escape into the result are freshly allocated.
+// rlsRanked is the Algorithm 2 loop with a precomputed tie rank. It
+// never mutates rank, so prepared sweeps may run it concurrently
+// against a shared rank slice. scr may be nil; only buffers that escape
+// into the result are freshly allocated.
 //
 // Each step costs O(|ready|·log m + m) rather than a scan of every task
 // and processor. The ready tasks are kept in an explicit list; since
@@ -342,7 +304,7 @@ func predCounts(g *dag.Graph) []int {
 // int64, as everywhere in the solvers). A per-step prefix minimum of
 // (load, index) over the order then names the least-loaded fitting
 // processor, lowest index first on ties.
-func rlsRanked(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch) (*RLSResult, error) {
+func rlsRanked(g *dag.Graph, rank []int, cap model.Mem, scr *Scratch) (*RLSResult, error) {
 	scr, pooled := borrowScratch(scr)
 	defer releaseScratch(scr, pooled)
 	n := g.N()
@@ -358,12 +320,11 @@ func rlsRanked(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch) (*
 	readyTime := zeroed(&scr.readyAt, n) // max over preds of completion
 	ints := zeroed(&scr.ints, 2*n+2*m)
 	pendingPreds := ints[:n]
-	copy(pendingPreds, npreds)
 	// ready lists the unscheduled tasks with no pending predecessor;
 	// each task joins it once, so it never outgrows its n slots.
 	ready := ints[n : n : 2*n]
-	for i, c := range npreds {
-		if c == 0 {
+	for i := range pendingPreds {
+		if pendingPreds[i] = len(g.Preds(i)); pendingPreds[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
@@ -467,48 +428,20 @@ func rlsRanked(g *dag.Graph, rank, npreds []int, cap model.Mem, scr *Scratch) (*
 // times are equal, and it is the form whose ΣCi analysis (Lemma 6)
 // requires tasks to be delayed only by order-earlier tasks.
 func RLSIndependent(in *model.Instance, delta float64, tie TieBreak) (*RLSResult, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkRLSDelta(delta); err != nil {
-		return nil, err
-	}
-	lb := bounds.MemLB(in.S(), in.M)
-	cap, err := MemCap(delta, lb)
+	prep, err := PrepareRLSIndependent(in, tie)
 	if err != nil {
 		return nil, err
 	}
-	res, err := rlsIndependentWithCap(in, cap, tie)
-	if err != nil {
-		return nil, err
-	}
-	res.Delta = delta
-	res.LB = lb
-	return res, nil
+	return prep.Run(delta, tie)
 }
 
 // RLSIndependentWithCap is the explicit-cap form of RLSIndependent.
 func RLSIndependentWithCap(in *model.Instance, cap model.Mem, tie TieBreak) (*RLSResult, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	res, err := rlsIndependentWithCap(in, cap, tie)
+	prep, err := PrepareRLSIndependent(in, tie)
 	if err != nil {
 		return nil, err
 	}
-	res.LB = bounds.MemLB(in.S(), in.M)
-	if res.LB > 0 {
-		res.Delta = float64(cap) / float64(res.LB)
-	}
-	return res, nil
-}
-
-func rlsIndependentWithCap(in *model.Instance, cap model.Mem, tie TieBreak) (*RLSResult, error) {
-	orders, err := independentOrders(in, []TieBreak{tie})
-	if err != nil {
-		return nil, err
-	}
-	return rlsIndependentOrdered(in, orders[tie], cap, nil)
+	return prep.RunWithCap(cap, tie)
 }
 
 // rlsIndependentOrdered is the Section 5.2 loop with a precomputed
@@ -571,7 +504,7 @@ func rlsIndependentOrdered(in *model.Instance, order []int, cap model.Mem, scr *
 type RLSPrepared struct {
 	in     *model.Instance
 	lb     model.Mem
-	orders map[TieBreak][]int
+	orders byTie
 }
 
 // PrepareRLSIndependent validates the instance and precomputes the
@@ -604,42 +537,41 @@ func (prep *RLSPrepared) Run(delta float64, tie TieBreak) (*RLSResult, error) {
 // only what escapes into the result. A nil scr borrows from the
 // internal pool.
 func (prep *RLSPrepared) RunScratch(delta float64, tie TieBreak, scr *Scratch) (*RLSResult, error) {
-	if err := checkRLSDelta(delta); err != nil {
-		return nil, err
-	}
-	cap, err := MemCap(delta, prep.lb)
+	cap, err := deltaCap(delta, prep.lb)
 	if err != nil {
 		return nil, err
 	}
-	order, ok := prep.orders[tie]
-	if !ok {
-		return nil, fmt.Errorf("core: tie-break %s not prepared", tie)
+	res, err := prep.runOrdered(tie, cap, scr)
+	if err != nil {
+		return nil, err
+	}
+	res.Delta = delta
+	return res, nil
+}
+
+// RunWithCap executes one evaluation under an explicit per-processor
+// budget against the prepared state.
+func (prep *RLSPrepared) RunWithCap(cap model.Mem, tie TieBreak) (*RLSResult, error) {
+	res, err := prep.runOrdered(tie, cap, nil)
+	if err != nil {
+		return nil, err
+	}
+	if prep.lb > 0 {
+		res.Delta = float64(cap) / float64(prep.lb)
+	}
+	return res, nil
+}
+
+func (prep *RLSPrepared) runOrdered(tie TieBreak, cap model.Mem, scr *Scratch) (*RLSResult, error) {
+	order, err := prep.orders.get(tie)
+	if err != nil {
+		return nil, err
 	}
 	res, err := rlsIndependentOrdered(prep.in, order, cap, scr)
 	if err != nil {
 		return nil, err
 	}
-	res.Delta = delta
 	res.LB = prep.lb
-	return res, nil
-}
-
-// RunWithCap executes one evaluation under an explicit per-processor
-// budget against the prepared state; it matches
-// RLSIndependentWithCap(in, cap, tie) bit for bit.
-func (prep *RLSPrepared) RunWithCap(cap model.Mem, tie TieBreak) (*RLSResult, error) {
-	order, ok := prep.orders[tie]
-	if !ok {
-		return nil, fmt.Errorf("core: tie-break %s not prepared", tie)
-	}
-	res, err := rlsIndependentOrdered(prep.in, order, cap, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.LB = prep.lb
-	if prep.lb > 0 {
-		res.Delta = float64(cap) / float64(prep.lb)
-	}
 	return res, nil
 }
 
@@ -651,9 +583,8 @@ func (prep *RLSPrepared) RunWithCap(cap model.Mem, tie TieBreak) (*RLSResult, er
 type RLSGraphPrepared struct {
 	g      *dag.Graph
 	lb     model.Mem
-	npreds []int
 	bottom []model.Time
-	ranks  map[TieBreak][]int
+	ranks  byTie
 }
 
 // PrepareRLS validates the graph and precomputes the tie ranks for the
@@ -668,13 +599,14 @@ func PrepareRLS(g *dag.Graph, ties ...TieBreak) (*RLSGraphPrepared, error) {
 		ties = []TieBreak{TieByID, TieSPT, TieLPT, TieBottomLevel}
 	}
 	prep := &RLSGraphPrepared{
-		g:      g,
-		lb:     bounds.MemLB(g.S, g.M),
-		npreds: predCounts(g),
-		ranks:  make(map[TieBreak][]int, len(ties)),
+		g:  g,
+		lb: bounds.MemLB(g.S, g.M),
 	}
 	for _, tie := range ties {
-		if _, ok := prep.ranks[tie]; ok {
+		if err := checkTie(tie); err != nil {
+			return nil, err
+		}
+		if prep.ranks[tie] != nil {
 			continue
 		}
 		if tie == TieBottomLevel && prep.bottom == nil {
@@ -684,11 +616,7 @@ func PrepareRLS(g *dag.Graph, ties ...TieBreak) (*RLSGraphPrepared, error) {
 			}
 			prep.bottom = bl
 		}
-		order, err := tieOrderFrom(g, tie, prep.bottom)
-		if err != nil {
-			return nil, err
-		}
-		prep.ranks[tie] = rankOf(order)
+		prep.ranks[tie] = rankOf(tieOrderFrom(g, tie, prep.bottom))
 	}
 	return prep, nil
 }
@@ -696,8 +624,7 @@ func PrepareRLS(g *dag.Graph, ties ...TieBreak) (*RLSGraphPrepared, error) {
 // LB returns the memoized Graham memory lower bound.
 func (prep *RLSGraphPrepared) LB() model.Mem { return prep.lb }
 
-// Run executes one RLS∆ evaluation against the prepared state; it
-// matches RLS(g, delta, tie) bit for bit.
+// Run executes one RLS∆ evaluation against the prepared state.
 func (prep *RLSGraphPrepared) Run(delta float64, tie TieBreak) (*RLSResult, error) {
 	return prep.RunScratch(delta, tie, nil)
 }
@@ -705,10 +632,7 @@ func (prep *RLSGraphPrepared) Run(delta float64, tie TieBreak) (*RLSResult, erro
 // RunScratch is Run with caller-owned scratch buffers; a nil scr
 // borrows from the internal pool.
 func (prep *RLSGraphPrepared) RunScratch(delta float64, tie TieBreak, scr *Scratch) (*RLSResult, error) {
-	if err := checkRLSDelta(delta); err != nil {
-		return nil, err
-	}
-	cap, err := MemCap(delta, prep.lb)
+	cap, err := deltaCap(delta, prep.lb)
 	if err != nil {
 		return nil, err
 	}
@@ -721,7 +645,7 @@ func (prep *RLSGraphPrepared) RunScratch(delta float64, tie TieBreak, scr *Scrat
 }
 
 // RunWithCap executes one evaluation under an explicit per-processor
-// budget; it matches RLSWithCap(g, cap, tie) bit for bit.
+// budget against the prepared state.
 func (prep *RLSGraphPrepared) RunWithCap(cap model.Mem, tie TieBreak) (*RLSResult, error) {
 	res, err := prep.runRanked(tie, cap, nil)
 	if err != nil {
@@ -734,11 +658,11 @@ func (prep *RLSGraphPrepared) RunWithCap(cap model.Mem, tie TieBreak) (*RLSResul
 }
 
 func (prep *RLSGraphPrepared) runRanked(tie TieBreak, cap model.Mem, scr *Scratch) (*RLSResult, error) {
-	rank, ok := prep.ranks[tie]
-	if !ok {
-		return nil, fmt.Errorf("core: tie-break %s not prepared", tie)
+	rank, err := prep.ranks.get(tie)
+	if err != nil {
+		return nil, err
 	}
-	res, err := rlsRanked(prep.g, rank, prep.npreds, cap, scr)
+	res, err := rlsRanked(prep.g, rank, cap, scr)
 	if err != nil {
 		return nil, err
 	}

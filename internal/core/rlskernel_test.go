@@ -18,7 +18,7 @@ import (
 )
 
 // rlsRankedReference is the original Algorithm 2 loop.
-func rlsRankedReference(g *dag.Graph, rank, npreds []int, cap model.Mem) (*RLSResult, error) {
+func rlsRankedReference(g *dag.Graph, rank []int, cap model.Mem) (*RLSResult, error) {
 	n := g.N()
 	m := g.M
 
@@ -30,7 +30,10 @@ func rlsRankedReference(g *dag.Graph, rank, npreds []int, cap model.Mem) (*RLSRe
 	memsize := make([]model.Mem, m)
 	marked := make([]bool, m)
 	done := make([]bool, n)
-	pendingPreds := append([]int(nil), npreds...)
+	pendingPreds := make([]int, n)
+	for v := range pendingPreds {
+		pendingPreds[v] = len(g.Preds(v))
+	}
 	readyTime := make([]model.Time, n) // max over preds of completion
 	var sumCi model.Time
 
@@ -122,13 +125,13 @@ var allTies = []TieBreak{TieByID, TieSPT, TieLPT, TieBottomLevel}
 // feasible.
 func checkKernelMatchesReference(t *testing.T, g *dag.Graph, cap model.Mem, tie TieBreak, scr *Scratch) bool {
 	t.Helper()
-	rank, err := tieRank(g, tie)
+	prep, err := PrepareRLS(g, tie)
 	if err != nil {
 		t.Fatal(err)
 	}
-	npreds := predCounts(g)
-	got, gotErr := rlsRanked(g, rank, npreds, cap, scr)
-	want, wantErr := rlsRankedReference(g, rank, npreds, cap)
+	rank := prep.ranks[tie]
+	got, gotErr := rlsRanked(g, rank, cap, scr)
+	want, wantErr := rlsRankedReference(g, rank, cap)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("n=%d m=%d cap=%d %s: kernel err %v, reference err %v", g.N(), g.M, cap, tie, gotErr, wantErr)
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"storagesched/internal/dag"
@@ -99,14 +100,17 @@ func TestTieOrdersMatchStableSort(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := dag.FromInstance(in)
+			gprep, err := PrepareRLS(dag.FromInstance(in), ties...)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, tie := range ties {
 				want := referenceOrder(t, in, tie)
 				if got := prep.orders[tie]; !slices.Equal(got, want) {
 					t.Errorf("%s: prepared order %v, want %v (%s)", tie, got, want, sc.reason)
 				}
-				if got, err := tieOrder(g, tie); err != nil || !slices.Equal(got, want) {
-					t.Errorf("%s: DAG order %v (err %v), want %v", tie, got, err, want)
+				if got := gprep.ranks[tie]; !slices.Equal(got, rankOf(want)) {
+					t.Errorf("%s: DAG ranks %v, want the ranks of order %v", tie, got, want)
 				}
 				for _, delta := range []float64{2, 3, 5.5} {
 					got, err := prep.Run(delta, tie)
@@ -135,5 +139,19 @@ func TestIndependentOrdersUnknownTie(t *testing.T) {
 	}
 	if _, err := RLSIndependent(in, 3, TieBreak(99)); err == nil {
 		t.Error("unknown tie-break accepted by RLSIndependent")
+	}
+	// With both the tie and δ bad, the tie is reported: the unprepared
+	// calls prepare before they run.
+	g := dag.FromInstance(in)
+	for _, c := range []struct {
+		name string
+		call func() (*RLSResult, error)
+	}{
+		{"RLS", func() (*RLSResult, error) { return RLS(g, 1, TieBreak(99)) }},
+		{"RLSIndependent", func() (*RLSResult, error) { return RLSIndependent(in, 1, TieBreak(99)) }},
+	} {
+		if _, err := c.call(); err == nil || !strings.Contains(err.Error(), "unknown tie break") {
+			t.Errorf("%s with bad tie and delta: err %v, want the unknown tie-break", c.name, err)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -254,29 +253,34 @@ func (st *batchState) prepare() {
 }
 
 // executeJob runs one job of this item against the memoized prepared
-// state, dispatching on the item kind. scr is the worker's reusable
-// scratch, shared across every job the worker executes.
+// state. scr is the worker's reusable scratch, shared across every job
+// the worker executes, so a warm sweep allocates only what escapes
+// into the Run.
 func (st *batchState) executeJob(idx int, scr *core.Scratch) Run {
 	j := st.jobs[idx]
-	if st.g == nil {
-		return execute(j, st.prepSBO, st.prepRLS, scr)
-	}
 	run := Run{Algorithm: j.alg, Tie: j.tie, Delta: j.delta}
-	res, err := st.prepGraph.RunScratch(j.delta, j.tie, scr)
-	if err != nil {
-		run.Err = err
+	switch {
+	case j.alg == AlgSBO:
+		if run.SBO, run.Err = st.prepSBO.RunScratch(j.delta, scr); run.Err == nil {
+			run.Value = model.Value{Cmax: run.SBO.Cmax, Mmax: run.SBO.Mmax}
+			run.Assignment = run.SBO.Assignment
+		}
 		return run
+	case st.g != nil:
+		run.RLS, run.Err = st.prepGraph.RunScratch(j.delta, j.tie, scr)
+	default:
+		run.RLS, run.Err = st.prepRLS.RunScratch(j.delta, j.tie, scr)
 	}
-	run.RLS = res
-	run.Value = model.Value{Cmax: res.Cmax, Mmax: res.Mmax}
-	run.Assignment = res.Schedule.Assignment()
+	if run.Err == nil {
+		run.Value = model.Value{Cmax: run.RLS.Cmax, Mmax: run.RLS.Mmax}
+		run.Assignment = run.RLS.Schedule.Assignment()
+	}
 	return run
 }
 
 // run executes one job of a batch against its item's memoized
 // prepared state, or skips it when the item's batch was cancelled.
-// It is the body shared by per-call workers and resident Pool workers;
-// scr is the executing worker's reusable scratch.
+// scr is the executing Pool worker's reusable scratch.
 func (bj batchJob) run(scr *core.Scratch) {
 	st := bj.st
 	st.met.jobDequeued()
@@ -333,19 +337,14 @@ func SweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig,
 	if emit == nil {
 		return fmt.Errorf("engine: nil emit callback")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+	// Every batch runs on a Pool: the caller's resident one, or a
+	// private one sized by Config.Workers and closed on return.
+	pool := cfg.Pool
+	if pool == nil {
+		pool = NewPool(cfg.Workers)
+		defer pool.Close()
 	}
-	// A shared resident pool supplies both the job channel and the
-	// effective worker count; otherwise the batch runs its own workers
-	// over a private channel, torn down when the batch drains.
-	shared := cfg.Pool != nil
-	jobCh := make(chan batchJob)
-	if shared {
-		workers = cfg.Pool.Workers()
-		jobCh = cfg.Pool.jobs
-	}
+	workers := pool.Workers()
 	pending := cfg.MaxPending
 	if pending <= 0 {
 		pending = 2 * workers
@@ -360,15 +359,11 @@ func SweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig,
 	// Producer: admit instances in input order, lay out their
 	// deterministic job lists and feed the shared pool. The admit
 	// semaphore (released by the emitter loop below) keeps at most
-	// `pending` instances in flight. Only a private job channel is
-	// closed here — a resident pool outlives the batch.
+	// `pending` instances in flight.
 	prodDone := make(chan struct{})
 	go func() {
 		defer close(prodDone)
 		defer close(order)
-		if !shared {
-			defer close(jobCh)
-		}
 		index := 0
 		for item := range items {
 			st := &batchState{index: index, in: item.Instance, g: item.Graph, tag: item.Tag, ctx: pctx, met: cfg.Metrics, done: make(chan struct{})}
@@ -428,7 +423,7 @@ func SweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig,
 			for i := range st.jobs {
 				st.met.jobQueued()
 				select {
-				case jobCh <- batchJob{st: st, idx: i}:
+				case pool.jobs <- batchJob{st: st, idx: i}:
 				case <-pctx.Done():
 					st.met.jobUnqueued()
 					return
@@ -436,23 +431,6 @@ func SweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig,
 			}
 		}
 	}()
-
-	var wg sync.WaitGroup
-	if !shared {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// One scratch per worker: the solver loops' per-processor
-				// and ready-set buffers are reused across every job this
-				// worker runs, so a warm batch allocates only results.
-				scr := core.NewScratch()
-				for bj := range jobCh {
-					bj.run(scr)
-				}
-			}()
-		}
-	}
 
 	// Emit completed instances in admission order. A state whose jobs
 	// were skipped (or never all enqueued) only occurs under
@@ -498,14 +476,13 @@ emitting:
 	}
 	// Join the producer before returning: a cancelled select unblocks it,
 	// and once SweepBatch has returned no goroutine of this batch can
-	// still be submitting to a shared pool — the guarantee Pool.Close's
-	// quiesce-first contract rests on. Private workers then drain their
-	// closed channel and exit; jobs of this batch still queued on a
-	// shared pool see the cancelled context and skip, counting themselves
-	// down without touching emitted state.
+	// still be submitting to the pool — the guarantee Pool.Close's
+	// quiesce-first contract rests on, for the private pool closed by
+	// the deferred Close as for a resident one. Jobs of this batch still
+	// queued on a resident pool see the cancelled context and skip,
+	// counting themselves down without touching emitted state.
 	cancel()
 	<-prodDone
-	wg.Wait()
 	if emitErr != nil {
 		return emitErr
 	}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"storagesched/internal/core"
 	"storagesched/internal/gen"
@@ -314,6 +315,49 @@ func TestSweepBatchEmitErrorAborts(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("emit called %d times, want 2", calls)
+	}
+}
+
+// TestSweepBatchPrivatePoolLeavesNoGoroutines: a batch without
+// BatchConfig.Pool runs on a private pool, whose workers must all have
+// exited once SweepBatch returns — after success, after an emit error
+// and after mid-batch cancellation.
+func TestSweepBatchPrivatePoolLeavesNoGoroutines(t *testing.T) {
+	ins := batchInstances()
+	stop := errors.New("enough")
+	for _, tc := range []struct {
+		name   string
+		cancel bool // cancel from the first completed job
+		emit   func(BatchResult) error
+		want   error
+	}{
+		{"success", false, func(BatchResult) error { return nil }, nil},
+		{"emit error", false, func(BatchResult) error { return stop }, stop},
+		{"cancelled", true, func(BatchResult) error { return nil }, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancel {
+				testHookAfterRun = cancel
+				defer func() { testHookAfterRun = nil }()
+			}
+			err := SweepBatch(ctx, BatchOf(ins...), BatchConfig{Config: Config{Deltas: []float64{1, 3}, Workers: 4}}, tc.emit)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("got %v, want %v", err, tc.want)
+			}
+			// An exiting worker may still be counted for a moment after
+			// SweepBatch returns; poll with slack for the runtime to settle.
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines did not settle: baseline %d, now %d", baseline, runtime.NumGoroutine())
+				}
+				runtime.Gosched()
+				time.Sleep(25 * time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -315,36 +315,6 @@ func hasRLS(jobs []job) bool {
 	return false
 }
 
-// execute runs one job against the memoized per-instance state. scr is
-// the calling worker's scratch (nil falls back to the solvers' pool);
-// passing it through keeps a warm sweep at O(1) allocations per job.
-func execute(j job, prepSBO *core.SBOPrepared, prepRLS *core.RLSPrepared, scr *core.Scratch) Run {
-	run := Run{Algorithm: j.alg, Tie: j.tie, Delta: j.delta}
-	switch j.alg {
-	case AlgSBO:
-		res, err := prepSBO.RunScratch(j.delta, scr)
-		if err != nil {
-			run.Err = err
-			return run
-		}
-		run.SBO = res
-		run.Value = model.Value{Cmax: res.Cmax, Mmax: res.Mmax}
-		run.Assignment = res.Assignment
-	case AlgRLS:
-		res, err := prepRLS.RunScratch(j.delta, j.tie, scr)
-		if err != nil {
-			run.Err = err
-			return run
-		}
-		run.RLS = res
-		run.Value = model.Value{Cmax: res.Cmax, Mmax: res.Mmax}
-		run.Assignment = res.Schedule.Assignment()
-	default:
-		run.Err = fmt.Errorf("engine: unknown algorithm %d", int(j.alg))
-	}
-	return run
-}
-
 // AssembleFront keeps the non-dominated values of the successful runs,
 // one witness per distinct value (lowest run index), sorted by Cmax.
 // It is how every sweep Result derives Front from Runs; refinement

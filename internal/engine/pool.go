@@ -1,13 +1,12 @@
 package engine
 
-// Resident worker pools. SweepBatch normally spins up its workers per
-// call and tears them down when the batch drains — the right shape for
-// a one-shot CLI run. A long-running service wants the opposite: one
-// pool of goroutines (and their per-worker core.Scratch buffers) that
-// lives for the process lifetime and executes the jobs of every batch
-// admitted to it, so concurrent requests share capacity the way
-// concurrent instances of one batch already share it. Pool is that
-// resident pool; wire it into a batch via BatchConfig.Pool.
+// Worker pools. Every SweepBatch runs its jobs on a Pool. A one-shot
+// run gets a private pool, started for the call and closed when the
+// batch drains. A long-running service instead passes one resident
+// pool via BatchConfig.Pool: its goroutines (and their per-worker
+// core.Scratch buffers) live for the process lifetime and execute the
+// jobs of every batch admitted to it, so concurrent requests share
+// capacity the way concurrent instances of one batch already share it.
 
 import (
 	"runtime"
@@ -16,12 +15,13 @@ import (
 	"storagesched/internal/core"
 )
 
-// Pool is a resident worker pool shared across SweepBatch calls. Its
-// goroutines (and their reusable scratch buffers) start at NewPool and
-// run until Close; every batch whose BatchConfig.Pool points here
-// submits its jobs to the shared job channel, so jobs from concurrent
-// batches interleave exactly as jobs from concurrent instances of one
-// batch do — the pool never idles at batch boundaries.
+// Pool is the worker pool SweepBatch runs its jobs on, private to one
+// call or resident and shared across calls. Its goroutines (and their
+// reusable scratch buffers) start at NewPool and run until Close; every
+// batch whose BatchConfig.Pool points here submits its jobs to the
+// shared job channel, so jobs from concurrent batches interleave
+// exactly as jobs from concurrent instances of one batch do — the pool
+// never idles at batch boundaries.
 //
 // Determinism is unaffected: results land at their per-item job index
 // whatever worker runs them, so each batch's output is byte-identical
@@ -37,7 +37,7 @@ type Pool struct {
 	once    sync.Once
 }
 
-// NewPool starts a resident pool of the given size; 0 or negative
+// NewPool starts a pool of the given size; 0 or negative
 // means runtime.NumCPU().
 func NewPool(workers int) *Pool {
 	if workers <= 0 {

@@ -105,12 +105,8 @@ type serverMetrics struct {
 	sweepsInFlight   *metrics.Gauge
 }
 
-// newServerMetrics registers the server families on reg; a nil
-// registry returns nil (instrumentation off).
+// newServerMetrics registers the server families on reg.
 func newServerMetrics(reg *metrics.Registry) *serverMetrics {
-	if reg == nil {
-		return nil
-	}
 	return &serverMetrics{
 		refusals: reg.CounterVec("sched_refusals_total",
 			"sweep requests refused before running (429s by reason, plus refusals while draining)",
@@ -132,31 +128,15 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 // refused counts one refusal; client is recorded only for fairness
 // rejections, where one aggressive client is the story worth telling.
 func (m *serverMetrics) refused(reason, client string) {
-	if m == nil {
-		return
-	}
 	m.refusals.With(reason).Inc()
 	if reason == RefusalClientCap {
 		m.clientRefusals.With(client).Inc()
 	}
 }
 
-// slotWaitStart returns the moment an admitted sweep began waiting for
-// a run slot — zero when instrumentation is off, so an unwired server
-// pays no clock read.
-func (m *serverMetrics) slotWaitStart() time.Time {
-	if m == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
 // admitted records the slot wait that started at t0 and the sweep
 // entering execution.
 func (m *serverMetrics) admitted(t0 time.Time) {
-	if m == nil {
-		return
-	}
 	m.admissionWait.ObserveSince(t0)
 	m.sweepsInFlight.Inc()
 }
@@ -164,17 +144,11 @@ func (m *serverMetrics) admitted(t0 time.Time) {
 // finished records the sweep leaving execution and its streamed body
 // bytes.
 func (m *serverMetrics) finished(bytes int64) {
-	if m == nil {
-		return
-	}
 	m.sweepsInFlight.Dec()
 	m.bytesStreamed.Add(bytes)
 }
 
 // drained counts one admitting-to-draining transition.
 func (m *serverMetrics) drained() {
-	if m == nil {
-		return
-	}
 	m.drainTransitions.Inc()
 }
