@@ -30,12 +30,12 @@
 //	{"m": 2, "tasks": [{"id":0,"p":4,"s":1}, ...]}
 //	{"m": 2, "tasks": [...], "edges": [[0,1], [1,2]]}
 //
-// With -refine the batch runs the adaptive two-pass pipeline: a coarse
-// sweep at the configured grid, then a refinement pass that re-sweeps
-// each item only where its front's relative gap exceeds -refine-gap
+// With -refine the batch runs adaptive sweeps: each item's coarse
+// sweep at the configured grid is followed by a refinement phase that
+// re-sweeps it only where its front's relative gap exceeds -refine-gap
 // (at most -refine-max-points new δ values per item; task DAGs plan
 // RLS-eligible points only). The merged fronts print in the same JSONL
-// format, one deduplicated front per item:
+// format, one deduplicated front per item, each as soon as it is done:
 //
 //	schedcli sweepbatch -in instances/ -refine -refine-gap 0.1
 //
@@ -208,7 +208,7 @@ func runSweepBatch(args []string, stdin io.Reader, w io.Writer) error {
 	noRLS := fs.Bool("no-rls", false, "skip the RLS family")
 	cacheDir := fs.String("cache-dir", "", "content-addressed front cache directory (disk tier)")
 	cacheMem := fs.Int("cache-mem", 0, "front cache memory-tier entries (0 = default when caching; < 0 = disk-only)")
-	doRefine := fs.Bool("refine", false, "adaptive two-pass sweep: re-sweep δ-intervals where each front's relative gap exceeds -refine-gap")
+	doRefine := fs.Bool("refine", false, "adaptive sweep: re-sweep δ-intervals where each front's relative gap exceeds -refine-gap")
 	refineGap := fs.Float64("refine-gap", sched.DefaultRefineGap, "relative front gap above which the δ-interval is refined")
 	refineMax := fs.Int("refine-max-points", sched.DefaultRefineMaxPoints, "refinement δ points budgeted per item")
 	stats := fs.Bool("stats", false, "print the batch's metrics registry (Prometheus text format) to stderr when done — the same families a schedd /metrics scrape exposes")

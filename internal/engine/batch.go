@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -73,9 +74,7 @@ func BatchOfGraphs(graphs ...*dag.Graph) iter.Seq[BatchItem] {
 
 // BatchOfItems adapts prepared batch items — mixed kinds, overrides
 // and tags intact — to the sequence SweepBatch consumes, yielding
-// them in slice order. Unlike a streaming producer, the slice can be
-// replayed, which is what the adaptive refinement pipeline's second
-// pass needs.
+// them in slice order.
 func BatchOfItems(items ...BatchItem) iter.Seq[BatchItem] {
 	return func(yield func(BatchItem) bool) {
 		for _, item := range items {
@@ -130,6 +129,23 @@ type BatchConfig struct {
 	// shared across batches, goroutines and (via its disk tier) shard
 	// processes.
 	Cache *cache.Cache
+
+	// Refine, when non-nil, plans a second sweep phase per item. Once
+	// an item's jobs at its configured grid have all finished (or its
+	// coarse Result came from the cache), Refine is called with that
+	// coarse Result — graph marks task-DAG items — and returns the
+	// item's refinement δ-grid. A non-empty grid re-sweeps the item at
+	// those points against its already prepared state. The emitted
+	// Result holds the coarse runs followed by the refined ones, its
+	// Front assembled over both and its Bounds the coarse record. The
+	// item counts against MaxPending until it is emitted, and results
+	// still stream in item order. With a Cache, each phase is cached
+	// under its own key: the coarse phase under the item's base
+	// fingerprint, the refined phase under the fingerprint of its grid,
+	// holding the refined runs alone. CacheHit is then set only when
+	// every phase that ran was a hit. A planner error fails the item.
+	// internal/refine sets this hook.
+	Refine func(res *Result, graph bool) ([]float64, error)
 }
 
 // BatchResult is one instance's outcome. Results are delivered in
@@ -192,6 +208,21 @@ type batchState struct {
 	key       cache.Key
 	writeBack bool
 
+	// The second phase (BatchConfig.Refine). next receives the item
+	// when its coarse phase is done; it is nil when the batch does not
+	// refine and once the item has been handed over. coarse is the
+	// coarse-phase Result (see coarseResult), and split the number of
+	// computed coarse runs in runs, the refined runs following them.
+	// refined flags a planned second phase; refCached, refKey and
+	// refWriteBack are its counterparts of cached, key and writeBack.
+	next         chan<- *batchState
+	coarse       *Result
+	split        int
+	refined      bool
+	refCached    *Result
+	refKey       cache.Key
+	refWriteBack bool
+
 	// met is the batch's instrument bundle (nil when uninstrumented);
 	// prepared flags the memoized state as built, so later jobs of the
 	// item count as memo hits.
@@ -218,11 +249,7 @@ func (st *batchState) doPrepare() {
 // evaluation of another.
 func (st *batchState) prepare() {
 	if st.g != nil {
-		ties := st.cfg.Ties
-		if ties == nil {
-			ties = DefaultTies
-		}
-		if st.prepGraph, st.err = core.PrepareRLS(st.g, ties...); st.err != nil {
+		if st.prepGraph, st.err = core.PrepareRLS(st.g, st.cfg.tieSet()...); st.err != nil {
 			return
 		}
 		st.bounds, st.err = bounds.ForGraph(st.g)
@@ -241,11 +268,7 @@ func (st *batchState) prepare() {
 		}
 	}
 	if hasRLS(st.jobs) {
-		ties := st.cfg.Ties
-		if ties == nil {
-			ties = DefaultTies
-		}
-		if st.prepRLS, st.err = core.PrepareRLSIndependent(st.in, ties...); st.err != nil {
+		if st.prepRLS, st.err = core.PrepareRLSIndependent(st.in, st.cfg.tieSet()...); st.err != nil {
 			return
 		}
 	}
@@ -305,8 +328,117 @@ func (bj batchJob) run(scr *core.Scratch) {
 		}
 	}
 	if st.remaining.Add(-1) == 0 {
-		close(st.done)
+		st.phaseDone()
 	}
+}
+
+// phaseDone ends the item's current phase. A finished coarse phase of
+// a refining batch goes to the batch's refinement submitter; anything
+// else completes the item. The hand-off never blocks: next is buffered
+// to MaxPending, at most MaxPending items are in flight, and each is
+// handed over at most once.
+func (st *batchState) phaseDone() {
+	if next := st.next; next != nil && st.err == nil && !st.skipped.Load() {
+		st.next = nil
+		next <- st
+		return
+	}
+	close(st.done)
+}
+
+// submit hands the item's jobs [lo, hi) to the pool in order. It
+// reports false when the batch is cancelled first. The caller reads hi
+// before the first hand-off: once the last job is out, the item's
+// second phase may append to jobs.
+func (st *batchState) submit(jobs chan<- batchJob, lo, hi int) bool {
+	for i := lo; i < hi; i++ {
+		st.met.jobQueued()
+		select {
+		case jobs <- batchJob{st: st, idx: i}:
+		case <-st.ctx.Done():
+			st.met.jobUnqueued()
+			return false
+		}
+	}
+	return true
+}
+
+// refine runs the set-up of the item's second phase on the batch's
+// refinement submitter. It plans the grid from the coarse Result,
+// looks the refined phase up in the cache and, on a miss, appends the
+// phase's jobs after the coarse ones and submits them. It reports
+// false when the batch is cancelled during submission.
+func (st *batchState) refine(plan func(*Result, bool) ([]float64, error), c *cache.Cache, jobs chan<- batchJob) bool {
+	grid, err := plan(st.coarseResult(), st.g != nil)
+	if err != nil || len(grid) == 0 {
+		st.err = err
+		close(st.done)
+		return true
+	}
+	eff := st.cfg
+	eff.Deltas = grid
+	phase, err := buildJobs(eff, st.g != nil)
+	if err == nil && st.prepared.Load() && st.g == nil && st.prepRLS == nil && hasRLS(phase) {
+		// The coarse phase ran no RLS job, so it left the tie orders
+		// unprepared.
+		st.prepRLS, err = core.PrepareRLSIndependent(st.in, eff.tieSet()...)
+	}
+	if err != nil {
+		st.err = fmt.Errorf("refine: refinement pass for item %d: %w", st.index, err)
+		close(st.done)
+		return true
+	}
+	st.refined = true
+	if c != nil {
+		st.refKey = itemKey(st, eff)
+		if res, ok := cachedResult(c, st.refKey); ok {
+			st.refCached = res
+			close(st.done)
+			return true
+		}
+		st.refWriteBack = true
+	}
+	st.split = len(st.runs)
+	st.jobs = append(st.jobs, phase...)
+	st.runs = append(st.runs, make([]Run, len(phase))...)
+	st.remaining.Store(int64(len(phase)))
+	return st.submit(jobs, st.split, len(st.jobs))
+}
+
+// coarseResult returns the item's coarse-phase Result, the cached one
+// or one assembled from the computed runs, building it once. It must
+// be called before a second phase appends to runs.
+func (st *batchState) coarseResult() *Result {
+	if st.coarse == nil {
+		st.coarse = st.cached
+		if st.coarse == nil {
+			st.coarse = &Result{Bounds: st.bounds, Runs: st.runs, Front: AssembleFront(st.runs)}
+		}
+	}
+	return st.coarse
+}
+
+// result assembles a completed item's Result from its phases, writing
+// every computed phase back to c. hit reports that every phase was
+// served from the cache.
+func (st *batchState) result(c *cache.Cache) (res *Result, hit bool) {
+	coarse := st.coarseResult()
+	if st.writeBack {
+		putResult(c, st.key, coarse)
+	}
+	if !st.refined {
+		return coarse, st.cached != nil
+	}
+	refined := st.refCached
+	if refined == nil {
+		refined = &Result{Bounds: st.bounds, Runs: st.runs[st.split:]}
+		if st.refWriteBack {
+			refined.Front = AssembleFront(refined.Runs)
+			putResult(c, st.refKey, refined)
+		}
+	}
+	runs := slices.Concat(coarse.Runs, refined.Runs)
+	return &Result{Bounds: coarse.Bounds, Runs: runs, Front: AssembleFront(runs)}, st.cached != nil && st.refCached != nil
 }
 
 // SweepBatch sweeps every instance of items through one shared worker
@@ -321,6 +453,9 @@ func (bj batchJob) run(scr *core.Scratch) {
 // calls do, and per-instance state is prepared exactly once, inside
 // the pool. At most MaxPending instances are held in memory at a time:
 // fronts for thousands of instances stream through in bounded space.
+// With BatchConfig.Refine set, an item's refinement phase starts as
+// soon as its own coarse jobs finish and reuses its prepared state, so
+// refined fronts stream in the same bounded space.
 //
 // A per-instance failure (invalid instance, invalid override, or an
 // item's source error) is delivered as BatchResult.Err and the batch
@@ -356,19 +491,47 @@ func SweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig,
 	order := make(chan *batchState, pending)
 	admit := make(chan struct{}, pending)
 
+	// The batch's goroutines read these, not cfg: a closure capturing
+	// the whole BatchConfig would move it to the heap.
+	base, c, plan, met := cfg.Config, cfg.Cache, cfg.Refine, cfg.Metrics
+	var wg sync.WaitGroup
+
+	// Refinement submitter: items whose coarse phase is done arrive on
+	// next (from a worker, or from the producer for a cached coarse
+	// Result) and get their second phase planned and submitted here,
+	// off the workers, which must never block.
+	var next chan *batchState
+	if plan != nil {
+		next = make(chan *batchState, pending)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case st := <-next:
+					if !st.refine(plan, c, pool.jobs) {
+						return
+					}
+				case <-pctx.Done():
+					return
+				}
+			}
+		}()
+	}
+
 	// Producer: admit instances in input order, lay out their
 	// deterministic job lists and feed the shared pool. The admit
 	// semaphore (released by the emitter loop below) keeps at most
 	// `pending` instances in flight.
-	prodDone := make(chan struct{})
+	wg.Add(1)
 	go func() {
-		defer close(prodDone)
+		defer wg.Done()
 		defer close(order)
 		index := 0
 		for item := range items {
-			st := &batchState{index: index, in: item.Instance, g: item.Graph, tag: item.Tag, ctx: pctx, met: cfg.Metrics, done: make(chan struct{})}
+			st := &batchState{index: index, in: item.Instance, g: item.Graph, tag: item.Tag, ctx: pctx, met: met, next: next, done: make(chan struct{})}
 			index++
-			eff := cfg.Config
+			eff := base
 			if item.Override != nil {
 				eff = *item.Override
 			}
@@ -377,32 +540,25 @@ func SweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig,
 			switch {
 			case item.Err != nil:
 				st.err = item.Err
-				close(st.done)
 			case item.Instance == nil && item.Graph == nil:
 				st.err = fmt.Errorf("engine: batch item %d has neither instance nor graph", st.index)
-				close(st.done)
 			case item.Instance != nil && item.Graph != nil:
 				st.err = fmt.Errorf("engine: batch item %d has both instance and graph", st.index)
-				close(st.done)
 			default:
 				jobs, err := buildJobs(eff, item.Graph != nil)
 				if err != nil {
 					st.err = err
-					close(st.done)
 					break
 				}
 				// Admission consults the cache before job generation: a
 				// decodable hit makes the item jobless and its Result
 				// streams out in the usual order. A miss (or a corrupt
 				// entry) records the key for write-back at emission.
-				if cfg.Cache != nil {
-					st.key = itemKey(st)
-					if data, ok := cfg.Cache.Get(st.key); ok {
-						if res, derr := decodeResult(data); derr == nil {
-							st.cached = res
-							close(st.done)
-							break
-						}
+				if c != nil {
+					st.key = itemKey(st, eff)
+					if res, ok := cachedResult(c, st.key); ok {
+						st.cached = res
+						break
 					}
 					st.writeBack = true
 				}
@@ -420,14 +576,11 @@ func SweepBatch(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig,
 			case <-pctx.Done():
 				return
 			}
-			for i := range st.jobs {
-				st.met.jobQueued()
-				select {
-				case pool.jobs <- batchJob{st: st, idx: i}:
-				case <-pctx.Done():
-					st.met.jobUnqueued()
-					return
-				}
+			if len(st.jobs) == 0 {
+				// A failed or cached item has no coarse job to run.
+				st.phaseDone()
+			} else if !st.submit(pool.jobs, 0, len(st.jobs)) {
+				return
 			}
 		}
 	}()
@@ -453,17 +606,8 @@ emitting:
 			break emitting
 		}
 		br := BatchResult{Index: st.index, Err: st.err, Tag: st.tag}
-		switch {
-		case st.cached != nil:
-			br.Result = st.cached
-			br.CacheHit = true
-		case st.err == nil:
-			br.Result = &Result{Bounds: st.bounds, Runs: st.runs, Front: AssembleFront(st.runs)}
-			if st.writeBack {
-				if data, eerr := encodeResult(br.Result); eerr == nil {
-					cfg.Cache.Put(st.key, data)
-				}
-			}
+		if st.err == nil {
+			br.Result, br.CacheHit = st.result(c)
 		}
 		// Drop the prepared state before emitting: only the Result —
 		// now owned by the caller — outlives this iteration.
@@ -474,15 +618,16 @@ emitting:
 		}
 		<-admit
 	}
-	// Join the producer before returning: a cancelled select unblocks it,
-	// and once SweepBatch has returned no goroutine of this batch can
-	// still be submitting to the pool — the guarantee Pool.Close's
-	// quiesce-first contract rests on, for the private pool closed by
-	// the deferred Close as for a resident one. Jobs of this batch still
-	// queued on a resident pool see the cancelled context and skip,
-	// counting themselves down without touching emitted state.
+	// Join the producer and the refinement submitter before returning:
+	// a cancelled select unblocks them, and once SweepBatch has returned
+	// no goroutine of this batch can still be submitting to the pool —
+	// the guarantee Pool.Close's quiesce-first contract rests on, for
+	// the private pool closed by the deferred Close as for a resident
+	// one. Jobs of this batch still queued on a resident pool see the
+	// cancelled context and skip, counting themselves down without
+	// touching emitted state.
 	cancel()
-	<-prodDone
+	wg.Wait()
 	if emitErr != nil {
 		return emitErr
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"storagesched/internal/cache"
 	"storagesched/internal/core"
 	"storagesched/internal/gen"
 	"storagesched/internal/model"
@@ -319,9 +320,10 @@ func TestSweepBatchEmitErrorAborts(t *testing.T) {
 }
 
 // TestSweepBatchPrivatePoolLeavesNoGoroutines: a batch without
-// BatchConfig.Pool runs on a private pool, whose workers must all have
-// exited once SweepBatch returns — after success, after an emit error
-// and after mid-batch cancellation.
+// BatchConfig.Pool runs on a private pool, whose workers — and, for a
+// refining batch, the refinement submitter — must all have exited once
+// SweepBatch returns: after success, after an emit error and after
+// mid-batch cancellation.
 func TestSweepBatchPrivatePoolLeavesNoGoroutines(t *testing.T) {
 	ins := batchInstances()
 	stop := errors.New("enough")
@@ -335,29 +337,151 @@ func TestSweepBatchPrivatePoolLeavesNoGoroutines(t *testing.T) {
 		{"emit error", false, func(BatchResult) error { return stop }, stop},
 		{"cancelled", true, func(BatchResult) error { return nil }, context.Canceled},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			if tc.cancel {
-				testHookAfterRun = cancel
-				defer func() { testHookAfterRun = nil }()
+		for _, refined := range []bool{false, true} {
+			name := tc.name
+			cfg := BatchConfig{Config: Config{Deltas: []float64{1, 3}, Workers: 4}}
+			if refined {
+				name += "/refined"
+				cfg.Refine = fixedPlan(2.5, 5)
 			}
-			err := SweepBatch(ctx, BatchOf(ins...), BatchConfig{Config: Config{Deltas: []float64{1, 3}, Workers: 4}}, tc.emit)
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("got %v, want %v", err, tc.want)
-			}
-			// An exiting worker may still be counted for a moment after
-			// SweepBatch returns; poll with slack for the runtime to settle.
-			deadline := time.Now().Add(10 * time.Second)
-			for runtime.NumGoroutine() > baseline {
-				if time.Now().After(deadline) {
-					t.Fatalf("goroutines did not settle: baseline %d, now %d", baseline, runtime.NumGoroutine())
+			t.Run(name, func(t *testing.T) {
+				baseline := runtime.NumGoroutine()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if tc.cancel {
+					testHookAfterRun = cancel
+					defer func() { testHookAfterRun = nil }()
 				}
-				runtime.Gosched()
-				time.Sleep(25 * time.Millisecond)
-			}
-		})
+				err := SweepBatch(ctx, BatchOf(ins...), cfg, tc.emit)
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("got %v, want %v", err, tc.want)
+				}
+				// An exiting worker may still be counted for a moment after
+				// SweepBatch returns; poll with slack for the runtime to settle.
+				deadline := time.Now().Add(10 * time.Second)
+				for runtime.NumGoroutine() > baseline {
+					if time.Now().After(deadline) {
+						t.Fatalf("goroutines did not settle: baseline %d, now %d", baseline, runtime.NumGoroutine())
+					}
+					runtime.Gosched()
+					time.Sleep(25 * time.Millisecond)
+				}
+			})
+		}
+	}
+}
+
+// fixedPlan is a refinement planner that plans the same grid for every
+// item.
+func fixedPlan(grid ...float64) func(*Result, bool) ([]float64, error) {
+	return func(*Result, bool) ([]float64, error) { return grid, nil }
+}
+
+// TestSweepBatchRefinePhase: an item's second phase appends its runs
+// after the coarse ones, so a refined item equals one Sweep over the
+// coarse grid followed by the planned one — witness payloads included.
+// That holds when the coarse phase ran no RLS job and the planned grid
+// selects some, when the planner sees a cached coarse Result, and for
+// graph items; an empty plan leaves the coarse Result as it is and a
+// planner error fails only its item.
+func TestSweepBatchRefinePhase(t *testing.T) {
+	ctx := context.Background()
+	in, g := gen.Uniform(40, 4, 7), gen.ForkJoin(3, 3, 4, 7)
+	coarse, plan := []float64{0.5, 1}, []float64{0.75, 2.5, 6}
+	want, err := Sweep(ctx, in, Config{Deltas: append(coarse[:2:2], plan...), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphCoarse := []float64{2, 4}
+	wantGraph, err := SweepGraph(ctx, g, Config{Deltas: append(graphCoarse[:2:2], plan...), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Sweep(ctx, in, Config{Deltas: coarse, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("no plan")
+	var seen []int
+	cfg := BatchConfig{Config: Config{Deltas: coarse, Workers: 2}, MaxPending: 1}
+	cfg.Refine = func(res *Result, graph bool) ([]float64, error) {
+		seen = append(seen, len(res.Runs))
+		switch {
+		case graph:
+			return plan, nil
+		case len(seen) == 3:
+			return nil, nil
+		case len(seen) == 4:
+			return nil, boom
+		}
+		return plan, nil
+	}
+	graphOverride := Config{Deltas: graphCoarse}
+	items := []BatchItem{{Instance: in}, {Graph: g, Override: &graphOverride}, {Instance: in}, {Instance: in}}
+	var got []BatchResult
+	if err := SweepBatch(ctx, BatchOfItems(items...), cfg, func(br BatchResult) error {
+		got = append(got, br)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 4 {
+		t.Fatalf("emitted %d results, want 4", len(got))
+	}
+	if got[0].Err != nil || !reflect.DeepEqual(got[0].Result, want) {
+		t.Errorf("refined instance differs from one sweep over coarse+planned grid (err %v)", got[0].Err)
+	}
+	if got[1].Err != nil || !reflect.DeepEqual(got[1].Result, wantGraph) {
+		t.Errorf("refined graph differs from one sweep over coarse+planned grid (err %v)", got[1].Err)
+	}
+	if got[2].Err != nil || !reflect.DeepEqual(got[2].Result, plain) {
+		t.Errorf("empty plan: result differs from the coarse sweep (err %v)", got[2].Err)
+	}
+	if !errors.Is(got[3].Err, boom) || got[3].Result != nil {
+		t.Errorf("planner error: got err %v, result %v", got[3].Err, got[3].Result)
+	}
+
+	// With a cache, the phases are stored apart; a warm rerun plans
+	// from the cached coarse Result and is a hit only when both phases
+	// are. Dropping the refined entries leaves the coarse hits, so the
+	// second phase runs alone and prepares lazily.
+	c, err := cache.New(cache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = BatchConfig{Config: Config{Deltas: coarse, Workers: 2}, Cache: c, Refine: fixedPlan(plan...)}
+	run := func() BatchResult {
+		t.Helper()
+		var out BatchResult
+		if err := SweepBatch(ctx, BatchOf(in), cfg, func(br BatchResult) error { out = br; return br.Err }); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	cold := run()
+	if cold.CacheHit || c.Len() != 2 {
+		t.Fatalf("cold run: CacheHit %v, %d entries; want a miss writing 2", cold.CacheHit, c.Len())
+	}
+	warm := run()
+	if !warm.CacheHit || !reflect.DeepEqual(warm.Result.Front, want.Front) || len(warm.Result.Runs) != len(want.Runs) {
+		t.Errorf("warm run: CacheHit %v, front %v; want a hit with front %v", warm.CacheHit, warm.Result.Front, want.Front)
+	}
+	c, err = cache.New(cache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache, cfg.Refine = c, nil
+	run() // coarse entry only
+	cfg.Refine = fixedPlan(plan...)
+	half := run()
+	if half.CacheHit || !reflect.DeepEqual(half.Result.Front, want.Front) {
+		t.Errorf("coarse hit, refined miss: CacheHit %v, front %v; want a miss with front %v", half.CacheHit, half.Result.Front, want.Front)
+	}
+	for i, r := range half.Result.Runs[len(plain.Runs):] {
+		if w := want.Runs[len(plain.Runs)+i]; r.Value != w.Value || r.Assignment == nil {
+			t.Errorf("refined run %s: %v, want %v with a witness", r.Label(), r.Value, w.Value)
+		}
 	}
 }
 

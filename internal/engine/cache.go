@@ -66,12 +66,8 @@ func configFingerprint(cfg Config, graph bool) string {
 		fmt.Fprintf(&b, "|algC=%T%+v|algM=%T%+v", algC, algC, algM, algM)
 	}
 	if runsRLS {
-		ties := cfg.Ties
-		if ties == nil {
-			ties = DefaultTies
-		}
 		b.WriteString("|ties=")
-		for _, tie := range ties {
+		for _, tie := range cfg.tieSet() {
 			b.WriteString(tie.String())
 			b.WriteByte(',')
 		}
@@ -79,16 +75,34 @@ func configFingerprint(cfg Config, graph bool) string {
 	return b.String()
 }
 
-// itemKey computes the cache key of a valid batch item under its
-// effective config.
-func itemKey(st *batchState) cache.Key {
+// itemKey computes the cache key of a valid batch item under the
+// config of one of its sweep phases.
+func itemKey(st *batchState, cfg Config) cache.Key {
 	var canonical []byte
 	if st.g != nil {
 		canonical = cache.CanonicalGraph(st.g)
 	} else {
 		canonical = cache.CanonicalInstance(st.in)
 	}
-	return cache.KeyFor(canonical, configFingerprint(st.cfg, st.g != nil))
+	return cache.KeyFor(canonical, configFingerprint(cfg, st.g != nil))
+}
+
+// cachedResult looks key up in c and decodes the entry. An absent or
+// undecodable entry is a miss; the caller recomputes and overwrites it.
+func cachedResult(c *cache.Cache, key cache.Key) (*Result, bool) {
+	data, ok := c.Get(key)
+	if !ok {
+		return nil, false
+	}
+	res, err := decodeResult(data)
+	return res, err == nil
+}
+
+// putResult writes a computed Result back to c under key.
+func putResult(c *cache.Cache, key cache.Key, res *Result) {
+	if data, err := encodeResult(res); err == nil {
+		c.Put(key, data)
+	}
 }
 
 // wireVersion guards the cached-Result encoding; bump it whenever the

@@ -96,6 +96,15 @@ type Config struct {
 	SkipRLS bool
 }
 
+// tieSet returns the RLS tie-breaks the config sweeps: Ties, or
+// DefaultTies when it is nil.
+func (c Config) tieSet() []core.TieBreak {
+	if c.Ties == nil {
+		return DefaultTies
+	}
+	return c.Ties
+}
+
 // Run is one algorithm evaluation at one grid point. Runs appear in
 // Result.Runs in grid-major order (all algorithms at Deltas[0], then
 // Deltas[1], ...) with SBO before the RLS tie-breaks at each δ —
@@ -198,9 +207,16 @@ func GeometricGrid(lo, hi float64, n int) ([]float64, error) {
 	out := make([]float64, n)
 	ratio := hi / lo
 	for i := range out {
-		out[i] = lo * math.Pow(ratio, float64(i)/float64(n-1))
+		t := float64(i) / float64(n-1)
+		if math.IsInf(ratio, 1) {
+			// hi/lo overflows for extreme bounds; interpolate the
+			// logarithms instead, so every point stays finite.
+			out[i] = math.Exp(math.Log(lo) + t*(math.Log(hi)-math.Log(lo)))
+		} else {
+			out[i] = lo * math.Pow(ratio, t)
+		}
 	}
-	out[n-1] = hi
+	out[0], out[n-1] = lo, hi
 	return out, nil
 }
 
@@ -282,17 +298,13 @@ func buildJobs(cfg Config, graph bool) ([]job, error) {
 	if cfg.SkipSBO && cfg.SkipRLS {
 		return nil, fmt.Errorf("engine: both algorithm families skipped")
 	}
-	ties := cfg.Ties
-	if ties == nil {
-		ties = DefaultTies
-	}
 	var jobs []job
 	for _, d := range cfg.Deltas {
 		if !cfg.SkipSBO && !graph {
 			jobs = append(jobs, job{alg: AlgSBO, delta: d})
 		}
 		if !cfg.SkipRLS && d >= 2 {
-			for _, tie := range ties {
+			for _, tie := range cfg.tieSet() {
 				jobs = append(jobs, job{alg: AlgRLS, tie: tie, delta: d})
 			}
 		}

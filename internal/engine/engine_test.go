@@ -255,6 +255,19 @@ func TestGrids(t *testing.T) {
 			t.Errorf("GeometricGrid[%d] = %g, want %g", i, geo[i], want[i])
 		}
 	}
+	// Bounds whose ratio overflows float64 still give finite,
+	// increasing points with the exact end points.
+	for _, b := range [][2]float64{{1e-300, 1e300}, {5e-324, math.MaxFloat64}} {
+		ext := mustGrid(GeometricGrid(b[0], b[1], 7))
+		if ext[0] != b[0] || ext[6] != b[1] {
+			t.Errorf("GeometricGrid(%g, %g) ends = %g, %g", b[0], b[1], ext[0], ext[6])
+		}
+		for i, d := range ext {
+			if !(d > 0) || math.IsInf(d, 0) || (i > 0 && !(d > ext[i-1])) {
+				t.Errorf("GeometricGrid(%g, %g)[%d] = %g: not finite and increasing", b[0], b[1], i, d)
+			}
+		}
+	}
 	if g := mustGrid(LinearGrid(3, 3, 1)); !reflect.DeepEqual(g, []float64{3}) {
 		t.Errorf("single-point grid = %v", g)
 	}

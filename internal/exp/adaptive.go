@@ -231,7 +231,7 @@ func runAdaptive(w io.Writer) error {
 	fmt.Fprintf(w, "refined items: %d/%d; warm coarse entries reused by the adaptive pass: yes\n",
 		refinedItems, len(items))
 	if refinedItems == 0 {
-		return fmt.Errorf("no item planned any refinement; the workload must exercise the second pass")
+		return fmt.Errorf("no item planned any refinement; the workload must exercise the refinement phase")
 	}
 	if violations > 0 {
 		return fmt.Errorf("%d of %d items: adaptive front's largest gap worse than the equal-budget fixed grid", violations, len(items))

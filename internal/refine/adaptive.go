@@ -2,133 +2,33 @@ package refine
 
 import (
 	"context"
-	"fmt"
 	"iter"
 
 	"storagesched/internal/engine"
 )
 
-// SweepBatchAdaptive sweeps items twice through the batch engine: a
-// coarse pass at the configured grid, then a refinement pass whose
-// per-item Config overrides target the δ-intervals where each coarse
-// front bends (see Grid). Each item's coarse and refined runs merge
-// into one Result — coarse runs first, refined runs after, the front
-// re-assembled over both — and the merged BatchResults are emitted in
-// input order, exactly one per item, like SweepBatch's.
+// SweepBatchAdaptive sweeps items through the batch engine with a
+// per-item refinement phase: once an item's coarse jobs at cfg's grid
+// finish, Grid plans the δ-intervals where its front bends and the
+// engine re-sweeps them against the item's prepared state (see
+// engine.BatchConfig.Refine). Each item's Result holds its coarse runs
+// followed by its refined runs, the front re-assembled over both, and
+// the results stream to emit in input order, exactly one per item, as
+// soon as each item is done. Memory is O(MaxPending), as for
+// engine.SweepBatch.
 //
-// The two passes share cfg's pool parameters and cache. Cache entries
-// are keyed per pass: the coarse pass uses the item's base fingerprint
-// — so warm entries written by plain SweepBatch runs of the same grid
-// still hit, and vice versa — and the refinement pass the fingerprint
-// of its override grid. A merged result is flagged CacheHit only when
-// every pass that ran for the item was served from the cache.
-//
-// Unlike SweepBatch, the adaptive pipeline holds every item's coarse
-// front artifacts until the refinement pass completes, so memory is
-// O(items), not O(MaxPending): bound the batch size accordingly. Fatal
-// errors (cancellation, an emit error) abort as in SweepBatch;
-// per-item failures ride on BatchResult.Err and refinement simply
-// skips them.
+// Cache entries are keyed per phase: the coarse phase uses the item's
+// base fingerprint — so warm entries written by plain SweepBatch runs
+// of the same grid still hit, and vice versa — and the refinement
+// phase the fingerprint of its grid. A result is flagged CacheHit only
+// when every phase that ran for the item was served from the cache.
 func SweepBatchAdaptive(ctx context.Context, items iter.Seq[engine.BatchItem], cfg engine.BatchConfig, rcfg Config, emit func(engine.BatchResult) error) error {
-	if items == nil {
-		return fmt.Errorf("refine: nil batch item sequence")
-	}
-	if emit == nil {
-		return fmt.Errorf("refine: nil emit callback")
-	}
-	if _, err := rcfg.normalized(); err != nil {
+	rcfg, err := rcfg.normalized()
+	if err != nil {
 		return err
 	}
-
-	// Materialize the sequence: the refinement pass revisits items by
-	// index, so the streaming contract of SweepBatch cannot be kept.
-	var all []engine.BatchItem
-	for item := range items {
-		all = append(all, item)
+	cfg.Refine = func(res *engine.Result, graph bool) ([]float64, error) {
+		return Grid(res, graph, rcfg)
 	}
-
-	// Pass 1 — coarse. Results land at their input index.
-	coarse := make([]engine.BatchResult, 0, len(all))
-	if err := engine.SweepBatch(ctx, engine.BatchOfItems(all...), cfg, func(br engine.BatchResult) error {
-		coarse = append(coarse, br)
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	// Plan the refinement grids and build the second-pass items: the
-	// same instance or graph, with a Config override whose grid is the
-	// planned one. The override starts from the item's effective coarse
-	// config so family selections (SkipSBO, tie-breaks, sub-algorithms)
-	// carry over; only the δ-grid changes.
-	refItems := make([]engine.BatchItem, 0, len(all))
-	refOf := make(map[int]int, len(all)) // input index -> refItems index
-	for i, br := range coarse {
-		if br.Err != nil {
-			continue
-		}
-		grid, err := Grid(br.Result, all[i].Graph != nil, rcfg)
-		if err != nil {
-			return err
-		}
-		if len(grid) == 0 {
-			continue
-		}
-		eff := cfg.Config
-		if all[i].Override != nil {
-			eff = *all[i].Override
-		}
-		eff.Deltas = grid
-		refOf[i] = len(refItems)
-		refItems = append(refItems, engine.BatchItem{
-			Instance: all[i].Instance,
-			Graph:    all[i].Graph,
-			Override: &eff,
-		})
-	}
-
-	// Pass 2 — refinement, through the same pool configuration and
-	// cache. Every item carries an override, so cfg's base grid is
-	// inert here.
-	refined := make([]engine.BatchResult, 0, len(refItems))
-	if len(refItems) > 0 {
-		if err := engine.SweepBatch(ctx, engine.BatchOfItems(refItems...), cfg, func(br engine.BatchResult) error {
-			refined = append(refined, br)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-
-	// Merge and emit in input order. Front witnesses re-resolve over
-	// the concatenated run list; AssembleFront prefers the lowest run
-	// index for equal values, so coarse witnesses win ties.
-	for i, br := range coarse {
-		ri, ok := refOf[i]
-		if ok && br.Err == nil {
-			rr := refined[ri]
-			if rr.Err != nil {
-				// The planned grid is valid by construction, so a
-				// refinement failure is exceptional; surface it on the
-				// item rather than silently emitting the coarse half.
-				br.Err = fmt.Errorf("refine: refinement pass for item %d: %w", i, rr.Err)
-				br.Result = nil
-				br.CacheHit = false
-			} else {
-				runs := make([]engine.Run, 0, len(br.Result.Runs)+len(rr.Result.Runs))
-				runs = append(runs, br.Result.Runs...)
-				runs = append(runs, rr.Result.Runs...)
-				br.Result = &engine.Result{
-					Bounds: br.Result.Bounds,
-					Runs:   runs,
-					Front:  engine.AssembleFront(runs),
-				}
-				br.CacheHit = br.CacheHit && rr.CacheHit
-			}
-		}
-		if err := emit(br); err != nil {
-			return err
-		}
-	}
-	return nil
+	return engine.SweepBatch(ctx, items, cfg, emit)
 }

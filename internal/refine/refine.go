@@ -13,13 +13,15 @@
 // witness runs' δ parameters, largest gaps first, up to
 // Config.MaxPoints per item.
 //
-// SweepBatchAdaptive is the two-pass pipeline built on this scorer: a
-// coarse engine.SweepBatch pass streams fronts as usual, Grid plans a
-// per-item refinement grid from each coarse front, and a second pass
-// re-enters the batch with per-item Config overrides; coarse and
-// refined runs merge into one deduplicated front per item, emitted in
-// input order. Both passes are byte-deterministic for a fixed input,
-// whatever the worker count.
+// SweepBatchAdaptive is the pipeline built on this scorer: it hands
+// Grid to engine.SweepBatch as the per-item refinement planner
+// (engine.BatchConfig.Refine). Once an item's coarse runs finish, Grid
+// plans its refinement grid from the coarse front and the engine
+// re-sweeps the item there against its already prepared state; coarse
+// and refined runs merge into one deduplicated front per item, streamed
+// in input order as soon as the item is done, in O(MaxPending) memory.
+// The output is byte-deterministic for a fixed input, whatever the
+// worker count.
 package refine
 
 import (
@@ -183,7 +185,7 @@ func Grid(res *engine.Result, graph bool, cfg Config) ([]float64, error) {
 	// Materialize each span's points by geometric subdivision — the
 	// natural spacing for δ — and drop anything the coarse pass
 	// already ran (or that collides with another span's point): the
-	// refinement pass must only ever add new grid points.
+	// refinement phase must only ever add new grid points.
 	seen := make(map[float64]bool, len(res.Runs))
 	for _, r := range res.Runs {
 		seen[r.Delta] = true

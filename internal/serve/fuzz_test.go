@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math"
+	"net/url"
 	"reflect"
 	"testing"
 
@@ -76,6 +78,62 @@ func FuzzDecodeItem(f *testing.F) {
 		got, source := decodeOne(data, label)
 		if !sameItem(got, ref) || source != refSource {
 			t.Fatalf("decodeOne(%q) = %+v as %q; reference %+v as %q", data, got, source, ref, refSource)
+		}
+	})
+}
+
+// FuzzSweepSpecFromQuery holds the /v1/sweep query parser to the
+// per-request caps: for any raw query it either refuses or returns a
+// spec with at most MaxQueryPoints δ values, all finite and positive,
+// and with refine-max-points and pending at most MaxQueryPoints. The
+// query is parsed as the server's r.URL.Query() parses it, keeping
+// whatever pairs decode.
+func FuzzSweepSpecFromQuery(f *testing.F) {
+	for _, q := range []string{
+		"",
+		"dmin=0.5&dmax=8&points=6",
+		"dmin=0.5&dmax=8&points=6&refine=1&refine-gap=0.05&refine-max-points=6",
+		"points=4096&grid=lin",
+		"points=4097",
+		"points=-1",
+		"points=0",
+		"dmin=1e-300&dmax=1e300&points=4096",
+		"dmin=5e-324&dmax=1.7976931348623157e308&points=3",
+		"dmin=0&dmax=8",
+		"dmin=NaN",
+		"dmax=+Inf",
+		"dmin=8&dmax=0.5",
+		"grid=spiral",
+		"no-sbo=1&no-rls=true",
+		"pending=4096",
+		"pending=4097",
+		"pending=1099511627776",
+		"pending=-9223372036854775808",
+		"refine-max-points=4097",
+		"refine-max-points=-5",
+		"refine-gap=-1",
+		"points=3;dmin=1",
+		"points=%zz",
+		"points=6&points=7",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := url.ParseQuery(raw)
+		spec, err := sweepSpecFromQuery(q)
+		if err != nil {
+			return
+		}
+		if len(spec.Deltas) > MaxQueryPoints {
+			t.Fatalf("query %q: %d deltas, above the cap of %d", raw, len(spec.Deltas), MaxQueryPoints)
+		}
+		for i, d := range spec.Deltas {
+			if !(d > 0) || math.IsInf(d, 0) {
+				t.Fatalf("query %q: delta[%d] = %g, want finite and > 0", raw, i, d)
+			}
+		}
+		if spec.RefineMaxPoints > MaxQueryPoints || spec.MaxPending > MaxQueryPoints {
+			t.Fatalf("query %q: refine-max-points %d, pending %d; cap %d", raw, spec.RefineMaxPoints, spec.MaxPending, MaxQueryPoints)
 		}
 	})
 }

@@ -130,9 +130,9 @@ type SweepSpec struct {
 	// count.
 	MaxPending int
 
-	// Refine enables the adaptive two-pass pipeline: a coarse sweep at
-	// Deltas, then targeted re-sweeps of the δ-intervals where each
-	// front's relative gap exceeds RefineGap.
+	// Refine enables adaptive sweeps: each item is swept at Deltas,
+	// then re-swept in the δ-intervals where its front's relative gap
+	// exceeds RefineGap.
 	Refine bool
 
 	// RefineGap and RefineMaxPoints parameterize refinement; zero
@@ -197,9 +197,9 @@ func (s *Session) Sweep(ctx context.Context, items iter.Seq2[engine.BatchItem, s
 
 	var err error
 	if spec.Refine {
-		// Adaptive: a coarse pass at the configured grid, then a
-		// refinement pass targeting each front's bends; one merged
-		// front per line, still in input order.
+		// Adaptive: each item's coarse sweep at the configured grid is
+		// followed by a refinement phase targeting its front's bends;
+		// one merged front per line, still streamed in input order.
 		rcfg := refine.Config{Gap: spec.RefineGap, MaxPoints: spec.RefineMaxPoints}
 		err = refine.SweepBatchAdaptive(ctx, tagged, bcfg, rcfg, emit)
 	} else {

@@ -337,7 +337,7 @@ func sweepSpecFromQuery(q url.Values) (SweepSpec, error) {
 	if spec.SkipRLS, err = boolParam(q, "no-rls"); err != nil {
 		return spec, err
 	}
-	if spec.MaxPending, err = intParam(q, "pending", 0); err != nil {
+	if spec.MaxPending, err = pointsParam(q, "pending", 0); err != nil {
 		return spec, err
 	}
 	if spec.Refine, err = boolParam(q, "refine"); err != nil {
@@ -352,10 +352,11 @@ func sweepSpecFromQuery(q url.Values) (SweepSpec, error) {
 	return spec, nil
 }
 
-// MaxQueryPoints caps the points and refine-max-points query
-// parameters. Each sizes a per-request allocation or loop, so a larger
-// value is refused with 400 before any work runs; the cap sits far
-// above any useful δ-grid.
+// MaxQueryPoints caps the points, refine-max-points and pending query
+// parameters. Each sizes a per-request allocation or loop (pending
+// sizes the batch's in-flight buffers), so a larger value is refused
+// with 400 before any work runs; the cap sits far above any useful
+// δ-grid or streaming window.
 const MaxQueryPoints = 4096
 
 // pointsParam is intParam bounded above by MaxQueryPoints.

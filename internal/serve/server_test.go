@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"testing"
@@ -162,6 +163,39 @@ func TestServeSweepBadRequest(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("query %q: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+}
+
+// TestServeSweepPendingCap: pending sizes the batch's in-flight
+// buffers, so a value above MaxQueryPoints is a 400 and no sweep
+// starts; the parser keeps the cap itself and non-positive values as
+// the default.
+func TestServeSweepPendingCap(t *testing.T) {
+	_, _, srv := newTestServer(t, SessionConfig{Metrics: metrics.NewRegistry()}, ServerConfig{})
+	for _, q := range []string{"pending=4097", "pending=1099511627776", "refine=1&pending=4097"} {
+		resp, err := http.Post(srv.URL+"/v1/sweep?"+q, "application/jsonl", strings.NewReader(testBody()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "pending") {
+			t.Errorf("query %q: status %d %q, want 400 naming pending", q, resp.StatusCode, body)
+		}
+	}
+	samples, _ := scrapeMetrics(t, srv.URL)
+	if got := sampleInt(t, samples, "sched_sweeps_started_total"); got != 0 {
+		t.Errorf("sched_sweeps_started_total = %d after refused requests, want 0", got)
+	}
+	for q, want := range map[string]int{"pending=4096": 4096, "pending=0": 0, "pending=-3": -3, "": 0} {
+		v, err := url.ParseQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := sweepSpecFromQuery(v)
+		if err != nil || spec.MaxPending != want {
+			t.Errorf("query %q: MaxPending %d, err %v; want %d", q, spec.MaxPending, err, want)
 		}
 	}
 }

@@ -401,8 +401,9 @@ func BatchOfGraphs(graphs ...*Graph) iter.Seq[BatchItem] { return engine.BatchOf
 // consume, yielding them in slice order.
 func BatchOfItems(items ...BatchItem) iter.Seq[BatchItem] { return engine.BatchOfItems(items...) }
 
-// Adaptive δ-grid refinement (see internal/refine): a two-pass sweep
-// that spends extra grid points only where the front bends.
+// Adaptive δ-grid refinement (see internal/refine): a sweep whose
+// per-item refinement phase spends extra grid points only where the
+// item's front bends.
 type (
 	// RefineConfig selects the relative-gap threshold and the per-item
 	// refinement point budget of an adaptive sweep.
@@ -416,15 +417,17 @@ const (
 	DefaultRefineMaxPoints = refine.DefaultMaxPoints
 )
 
-// SweepBatchAdaptive runs a coarse SweepBatch pass at cfg's grid, then
-// a refinement pass whose per-item config overrides subdivide δ where
-// each coarse front's relative gaps exceed rcfg.Gap (graph items plan
-// RLS-eligible points only, δ ≥ 2). Coarse and refined runs merge into
-// one deduplicated front per item, emitted in input order. Both passes
-// share cfg's pool and cache; coarse entries are interchangeable with
-// plain SweepBatch runs of the same grid, refined entries key on their
-// own grid's fingerprint. Unlike SweepBatch, the pipeline holds every
-// item's coarse front until refinement completes — memory is O(items).
+// SweepBatchAdaptive runs SweepBatch at cfg's grid with a per-item
+// refinement phase: as soon as an item's coarse runs finish, it is
+// re-swept, against its already prepared state, at δ values that
+// subdivide the intervals where its coarse front's relative gaps
+// exceed rcfg.Gap (graph items plan RLS-eligible points only, δ ≥ 2).
+// Coarse and refined runs merge into one deduplicated front per item,
+// streamed in input order as soon as the item is done; memory is
+// O(MaxPending), as for SweepBatch. Both phases share cfg's pool and
+// cache; coarse entries are interchangeable with plain SweepBatch runs
+// of the same grid, refined entries key on their own grid's
+// fingerprint.
 func SweepBatchAdaptive(ctx context.Context, items iter.Seq[BatchItem], cfg BatchConfig, rcfg RefineConfig, emit func(BatchResult) error) error {
 	return refine.SweepBatchAdaptive(ctx, items, cfg, rcfg, emit)
 }
